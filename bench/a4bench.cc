@@ -1,10 +1,10 @@
 /**
  * @file
  * a4bench — run declarative grid sweeps (SweepSpec) by name or from a
- * file, through the same Sweep/JobPool runner and --json Record
- * pipeline as every figure bench. All 13 figure/ablation benches are
- * thin wrappers over this driver: `a4bench fig11_xmem_packet_sweep`
- * is byte-identical to `fig11_xmem_packet_sweep`.
+ * file, through the Sweep runner (fork()-per-point Dispatcher) and the
+ * --json Record pipeline. Every paper figure and the replacement
+ * ablation is a registered sweep: `a4bench fig11_xmem_packet_sweep`
+ * regenerates Fig. 11.
  *
  *   a4bench --list                        registered sweeps
  *   a4bench fig11_xmem_packet_sweep       run one by name

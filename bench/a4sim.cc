@@ -1,8 +1,8 @@
 /**
  * @file
  * a4sim — run declarative scenarios (ScenarioSpec) by name or from a
- * file, with field overrides, through the same Sweep/JobPool runner
- * and --json Record pipeline as the figure benches.
+ * file, with field overrides, through the same Sweep runner and
+ * --json Record pipeline as a4bench.
  *
  *   a4sim --list                      all registered scenarios
  *   a4sim micro                       run one by name

@@ -171,16 +171,11 @@ BENCHMARK(BM_EngineManyActors);
 static void
 BM_EngineQueueLadder(benchmark::State &state)
 {
-    // Heap-vs-wheel crossover: schedule+fire one event while N others
-    // sit pending far in the future. The binary heap pays O(log N)
-    // per operation against the standing population; the timing wheel
-    // pays O(1) until a cascade. Arg(0) = pending count, Arg(1) =
-    // 0 heap / 1 wheel; both run the identical event sequence (the
-    // byte-identity contract), so the comparison is pure queue cost.
+    // Schedule+fire one event while N others sit pending far in the
+    // future: the binary heap pays O(log N) per operation against the
+    // standing population. Arg = pending count.
     const auto pending = static_cast<std::size_t>(state.range(0));
-    const QueueMode mode =
-        state.range(1) ? QueueMode::Wheel : QueueMode::Heap;
-    Engine eng(mode);
+    Engine eng;
     for (std::size_t i = 0; i < pending; ++i)
         eng.schedule(std::uint64_t(1) << 40, [] {});
     Tick t = 0;
@@ -190,13 +185,10 @@ BM_EngineQueueLadder(benchmark::State &state)
     }
 }
 BENCHMARK(BM_EngineQueueLadder)
-    ->ArgNames({"pending", "wheel"})
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({10000, 0})
-    ->Args({10000, 1})
-    ->Args({100000, 0})
-    ->Args({100000, 1});
+    ->ArgName("pending")
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000);
 
 static void
 BM_LlcOccupancyCensus(benchmark::State &state)

@@ -5,19 +5,35 @@
  * CPU2017 jobs, and a heavy filesystem benchmark — first unmanaged,
  * then under A4.
  *
- * Demonstrates the scenario harness (the same code the Fig. 13/14
- * benches use) and how to read per-workload outcomes.
+ * Demonstrates the declarative scenario harness (the same registered
+ * spec and runner the Fig. 13/14 sweeps use) and how to read
+ * per-workload outcomes.
  *
  * Run:  ./example_datacenter_mix
  */
 
 #include <cstdio>
 
-#include "harness/scenarios.hh"
+#include "harness/spec.hh"
 #include "harness/table.hh"
 #include "sim/log.hh"
 
 using namespace a4;
+
+namespace
+{
+
+/** The HPW-heavy mix under @p scheme, at the spec's default windows
+ *  (A4_TEST_DURATION_SCALE / A4_BENCH_WINDOWS_MS apply). */
+ScenarioResult
+runHpwHeavy(Scheme scheme)
+{
+    ScenarioSpec spec = realWorldSpec(true);
+    spec.scheme = scheme;
+    return scenarioResultFromSpec(runSpec(spec));
+}
+
+} // namespace
 
 int
 main()
@@ -26,8 +42,8 @@ main()
     std::printf("Datacenter mix: 7 high-priority + 4 low-priority "
                 "workloads\n\n");
 
-    ScenarioResult def = runRealWorldScenario(true, Scheme::Default);
-    ScenarioResult a4 = runRealWorldScenario(true, Scheme::A4d);
+    ScenarioResult def = runHpwHeavy(Scheme::Default);
+    ScenarioResult a4 = runHpwHeavy(Scheme::A4d);
 
     Table t({"workload", "QoS", "metric", "Default", "A4-d",
              "relative"});

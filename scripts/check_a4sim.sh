@@ -35,7 +35,7 @@ done
 # a different operating point (the fig11 256 B column vs 1024 B).
 "$A4SIM" --file "$TMP/micro.spec" --set dpdk-t.packet_bytes=256 \
   --json "$TMP/micro256.json" > /dev/null
-"$BUILD/bench/fig11_xmem_packet_sweep" --filter "Default/p256B" \
+"$BUILD/bench/a4bench" fig11_xmem_packet_sweep --filter "Default/p256B" \
   --json "$TMP/fig11_256.json" > /dev/null
 python3 - "$TMP" <<'EOF'
 import json
@@ -51,10 +51,10 @@ print("check_a4sim: file + --set override reproduces the fig11 "
 EOF
 
 "$A4SIM" micro --json "$TMP/micro.json" > /dev/null
-"$BUILD/bench/fig11_xmem_packet_sweep" --filter "Default/p1024B" \
+"$BUILD/bench/a4bench" fig11_xmem_packet_sweep --filter "Default/p1024B" \
   --json "$TMP/fig11.json" > /dev/null
 "$A4SIM" realworld-hpw --json "$TMP/rw.json" > /dev/null
-"$BUILD/bench/fig13_realworld" --filter "hpw-heavy/Default" \
+"$BUILD/bench/a4bench" fig13_realworld --filter "hpw-heavy/Default" \
   --json "$TMP/fig13.json" > /dev/null
 
 python3 - "$TMP" <<'EOF'

@@ -20,7 +20,7 @@ namespace a4
  * related-work ablation: the paper argues that replacement-policy
  * fixes can ease DMA bloat but cannot address the directory
  * contention, whose migrations are placement-forced regardless of
- * policy — `bench/ablation_replacement` demonstrates exactly that.
+ * policy — `a4bench ablation_replacement` demonstrates exactly that.
  */
 enum class LlcReplacement { Lru, Srrip };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -209,11 +210,12 @@ pointTimeoutFromEnv(double fallback)
     if (!env)
         return fallback;
     char *end = nullptr;
-    double v = std::strtod(env, &end);
-    if (!end || *end != '\0' || !(v >= 0)) {
-        std::fprintf(stderr,
-                     "warning: A4_POINT_TIMEOUT: ignoring malformed "
-                     "value '%s'\n", env);
+    const double v = std::strtod(env, &end);
+    if (*env == '\0' || *end != '\0' || !(v >= 0)) {
+        static std::string warned;
+        warnOncePerValue(warned, env,
+                         "warning: A4_POINT_TIMEOUT: ignoring malformed "
+                         "value '%s'\n");
         return fallback;
     }
     return v;
@@ -226,11 +228,12 @@ retryBudgetFromEnv(unsigned fallback)
     if (!env)
         return fallback;
     char *end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (!end || *end != '\0' || v < 0) {
-        std::fprintf(stderr,
-                     "warning: A4_POINT_RETRIES: ignoring malformed "
-                     "value '%s'\n", env);
+    const long long v = std::strtoll(env, &end, 10);
+    if (*env == '\0' || *end != '\0' || v < 0 || v > UINT_MAX) {
+        static std::string warned;
+        warnOncePerValue(warned, env,
+                         "warning: A4_POINT_RETRIES: ignoring malformed "
+                         "value '%s'\n");
         return fallback;
     }
     return unsigned(v);

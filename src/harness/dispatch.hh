@@ -1,14 +1,13 @@
 /**
  * @file
- * Fault-tolerant job dispatcher: one engine behind both JobPool and
- * the distributed sweep runner.
+ * Fault-tolerant job dispatcher: the one engine behind every sweep
+ * run, local or distributed.
  *
  * A run shards its points across two kinds of lanes that drain one
  * shared queue:
  *
  *   - local lanes: fork()-per-point children, payload framed over a
- *     pipe (the classic JobPool path, now with the full failure
- *     model);
+ *     pipe;
  *   - remote lanes: a4worker daemons reached over TCP (net/), one
  *     in-flight JOB each, liveness tracked by HEARTBEATs.
  *

@@ -881,15 +881,6 @@ findSweep(const std::string &name)
     return nullptr;
 }
 
-int
-runFigureBench(const std::string &name, int argc, char **argv)
-{
-    const RegisteredSweep *r = findSweep(name);
-    if (r == nullptr)
-        fatal(sformat("no registered sweep '%s'", name.c_str()));
-    return runSweepBench(r->spec, r->name, argc, argv);
-}
-
 std::string
 workloadKindSummary(const ScenarioSpec &spec)
 {

@@ -2,9 +2,8 @@
  * @file
  * The canonical figure sweeps: one registered SweepSpec per paper
  * figure (fig03..fig15 plus the replacement ablation) and the
- * non-paper demos. Every `bench/fig*` binary is a thin wrapper over
- * runFigureBench(); `bench/a4bench` runs any registered or
- * --file-loaded sweep through the same path.
+ * non-paper demos. `bench/a4bench <name>` runs any registered sweep
+ * (or a --file-loaded one) on the shared bench CLI.
  */
 
 #ifndef A4_HARNESS_FIGURES_HH
@@ -32,10 +31,6 @@ const std::vector<RegisteredSweep> &sweepRegistry();
 
 /** Lookup by name; nullptr when absent. */
 const RegisteredSweep *findSweep(const std::string &name);
-
-/** A figure bench's whole main(): run the registered sweep @p name
- *  (also the Sweep/--json bench name) on the shared CLI. */
-int runFigureBench(const std::string &name, int argc, char **argv);
 
 /** "kind+2x kind+..." summary of a scenario's workload mix. */
 std::string workloadKindSummary(const ScenarioSpec &spec);

@@ -33,14 +33,6 @@ allSchemes()
     return all;
 }
 
-std::span<const Scheme>
-microSchemes()
-{
-    static const Scheme micro[] = {Scheme::Default, Scheme::Isolate,
-                                   Scheme::A4d};
-    return micro;
-}
-
 std::optional<Scheme>
 schemeFromName(const std::string &name)
 {
@@ -97,10 +89,9 @@ ScenarioResult::avgRelative(const ScenarioResult &r,
 ScenarioResult
 scenarioResultFromSpec(const SpecResult &sr)
 {
-    // Restates a generic SpecResult in the legacy struct, preserving
-    // the historical runRealWorldScenario conversion arithmetic
-    // exactly (sr.measure_window is the same resolved window the
-    // original read from its ScenarioOptions).
+    // Restates a generic SpecResult in the figure struct, preserving
+    // the historical hand-wired conversion arithmetic exactly
+    // (sr.measure_window is the resolved measure window of the run).
     ScenarioResult res;
     for (const SpecWorkloadResult &w : sr.workloads) {
         WorkloadResult r;
@@ -163,28 +154,6 @@ microResultFromSpec(const SpecResult &sr)
     return res;
 }
 
-ScenarioResult
-runRealWorldScenario(bool hpw_heavy, Scheme scheme,
-                     const ScenarioOptions &opt)
-{
-    // The canonical declarative spec reproduces the historical
-    // hand-wired testbed bit for bit (see realWorldSpec()).
-    ScenarioSpec spec = realWorldSpec(hpw_heavy);
-    spec.scheme = scheme;
-    spec.a4 = opt.a4_override;
-    return scenarioResultFromSpec(runSpecWithWindows(spec, opt.windows));
-}
-
-MicroResult
-runMicroScenario(Scheme scheme, unsigned packet_bytes,
-                 std::uint64_t storage_block, const ScenarioOptions &opt)
-{
-    ScenarioSpec spec = microSpec(packet_bytes, storage_block);
-    spec.scheme = scheme;
-    spec.a4 = opt.a4_override;
-    return microResultFromSpec(runSpecWithWindows(spec, opt.windows));
-}
-
 Record
 toRecord(const MicroResult &r)
 {
@@ -197,20 +166,6 @@ toRecord(const MicroResult &r)
     rec.set("net_rd_gbps", r.net_rd_gbps);
     rec.set("past_events", r.past_events);
     return rec;
-}
-
-MicroResult
-microResultFrom(const Record &rec)
-{
-    MicroResult r;
-    for (unsigned v = 0; v < 3; ++v) {
-        r.xmem_ipc[v] = rec.num(sformat("x%u_ipc", v + 1));
-        r.xmem_hit[v] = rec.num(sformat("x%u_hit", v + 1));
-    }
-    r.net_tail_us = rec.num("net_tail_us");
-    r.net_rd_gbps = rec.num("net_rd_gbps");
-    r.past_events = rec.num("past_events");
-    return r;
 }
 
 Record

@@ -1,9 +1,12 @@
 /**
  * @file
- * The paper's evaluation scenarios (§7) as reusable harness pieces:
- * the microbenchmark co-run (Fig. 11/12) and the real-world HPW-heavy
- * / LPW-heavy mixes (Fig. 13/14/15), each runnable under every
- * management scheme (Default, Isolate, A4-a..d).
+ * Result types of the paper's evaluation scenarios (§7): the
+ * management schemes (Default, Isolate, A4-a..d), the microbenchmark
+ * co-run's per-X-Mem outcome (Fig. 11/12), the real-world HPW-heavy /
+ * LPW-heavy mixes' per-workload outcome (Fig. 13/14/15), and their
+ * sweep-pipe codecs. The scenarios themselves are declarative specs
+ * (microSpec()/realWorldSpec() in harness/spec.hh) run by runSpec()
+ * and restated by microResultFromSpec()/scenarioResultFromSpec().
  */
 
 #ifndef A4_HARNESS_SCENARIOS_HH
@@ -14,9 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/experiment.hh"
 #include "harness/sweep.hh"
-#include "harness/testbed.hh"
 
 namespace a4
 {
@@ -33,9 +34,6 @@ const char *schemeName(Scheme s);
 
 /** All evaluated schemes, in bench display order. */
 std::span<const Scheme> allSchemes();
-
-/** The microbenchmark subset (Fig. 11/12): Default/Isolate/A4-d. */
-std::span<const Scheme> microSchemes();
 
 /** Inverse of schemeName(); nullopt for unknown names. */
 std::optional<Scheme> schemeFromName(const std::string &name);
@@ -101,25 +99,6 @@ struct ScenarioResult
                               std::optional<bool> hpw_filter);
 };
 
-/** Knobs for a real-world scenario run. */
-struct ScenarioOptions
-{
-    /** Warm-up covers the A4 convergence transient (~40 monitoring
-     *  intervals at the compressed 5 ms period); the environment
-     *  knobs (A4_TEST_DURATION_SCALE / A4_BENCH_WINDOWS_MS) adjust
-     *  it like every other bench window. */
-    Windows windows = Windows::fromEnv(Windows{250 * kMsec, 100 * kMsec});
-    /** Overrides thresholds/timing of the A4 variants (Fig. 15). */
-    std::optional<A4Params> a4_override;
-};
-
-/**
- * Run the Table-2 real-world mix (HPW-heavy: 7 HPWs + 4 LPWs;
- * LPW-heavy: 4 HPWs + 8 LPWs) under @p scheme.
- */
-ScenarioResult runRealWorldScenario(bool hpw_heavy, Scheme scheme,
-                                    const ScenarioOptions &opt = {});
-
 /** Per-X-Mem outcome of the microbenchmark co-run (Fig. 11/12). */
 struct MicroResult
 {
@@ -130,17 +109,8 @@ struct MicroResult
     double past_events = 0.0; ///< see ScenarioResult::past_events
 };
 
-/**
- * Run the §7.1 microbenchmark co-run: DPDK-T (HPW) + FIO (LPW) +
- * X-Mem 1 (HPW) / 2 (LPW) / 3 (LPW).
- */
-MicroResult runMicroScenario(Scheme scheme, unsigned packet_bytes,
-                             std::uint64_t storage_block,
-                             const ScenarioOptions &opt = {});
-
 /** @name Sweep-pipe codecs for the scenario result structs. @{ */
 Record toRecord(const MicroResult &r);
-MicroResult microResultFrom(const Record &r);
 Record toRecord(const ScenarioResult &r);
 ScenarioResult scenarioResultFrom(const Record &r);
 /** @} */

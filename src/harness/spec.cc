@@ -536,7 +536,7 @@ serializeA4(std::ostringstream &out, const A4Params &p)
 }
 
 /** Default A4 parameters for scenario runs (compressed intervals) —
- *  the historical runMicroScenario/runRealWorldScenario values. */
+ *  the historical hand-wired micro / real-world scenario values. */
 A4Params
 scenarioA4Defaults()
 {

@@ -18,11 +18,11 @@
  * the scheme, runs the warm-up/measure protocol, and returns a
  * SpecResult with per-workload metrics. The paper's evaluation
  * scenarios (§7) are canonical specs in the named ScenarioRegistry —
- * runMicroScenario()/runRealWorldScenario() are thin converters on
- * top of runSpec() and remain byte-identical to their historical
- * hand-wired implementations — and the registry also carries mixes
- * the paper never ran; `a4sim` drives any of them from the command
- * line.
+ * microSpec()/realWorldSpec() reproduce the historical hand-wired
+ * testbeds bit for bit, and microResultFromSpec()/
+ * scenarioResultFromSpec() restate their SpecResults as the figure
+ * structs — and the registry also carries mixes the paper never ran;
+ * `a4sim` drives any of them from the command line.
  *
  * Ordering semantics an entry list pins down (they decide core/port/
  * address-map assignment, so they are part of the spec's identity):
@@ -41,6 +41,7 @@
 #include <utility>
 #include <vector>
 
+#include "harness/experiment.hh"
 #include "harness/scenarios.hh"
 
 namespace a4
@@ -509,9 +510,9 @@ double evalSweepMetric(const SpecResult &r, const std::string &expr);
 bool validSweepMetricExpr(const std::string &expr);
 
 /** @name MicroResult / ScenarioResult views of a SpecResult.
- *  Exactly the historical runMicroScenario / runRealWorldScenario
- *  restatements (bit-identical arithmetic); the workload names must
- *  match the canonical micro / realworld specs. @{ */
+ *  Bit-identical to the historical hand-wired micro / real-world
+ *  conversion arithmetic; the workload names must match the
+ *  canonical micro / realworld specs. @{ */
 MicroResult microResultFromSpec(const SpecResult &sr);
 ScenarioResult scenarioResultFromSpec(const SpecResult &sr);
 /** @} */

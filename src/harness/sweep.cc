@@ -1,8 +1,8 @@
 #include "harness/sweep.hh"
 
+#include <cctype>
 #include <cinttypes>
 #include <cmath>
-#include <exception>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -41,18 +41,24 @@ escape(const std::string &s)
     return out;
 }
 
+/** Inverse of escape(): every '%' must be followed by exactly two
+ *  hex digits, anything else is a corrupt field. */
 std::string
 unescape(const std::string &s)
 {
     std::string out;
     out.reserve(s.size());
     for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] == '%' && i + 2 < s.size()) {
-            out += char(std::stoi(s.substr(i + 1, 2), nullptr, 16));
-            i += 2;
-        } else {
+        if (s[i] != '%') {
             out += s[i];
+            continue;
         }
+        const std::string hex = s.substr(i + 1, 2);
+        if (hex.size() != 2 || !std::isxdigit((unsigned char)hex[0]) ||
+            !std::isxdigit((unsigned char)hex[1]))
+            fatal(sformat("Record: bad escape in '%s'", s.c_str()));
+        out += char(std::stoi(hex, nullptr, 16));
+        i += 2;
     }
     return out;
 }
@@ -159,7 +165,7 @@ Record::deserialize(const std::string &blob)
         if (line[0] == 'N') {
             char *end = nullptr;
             double v = std::strtod(val.c_str(), &end);
-            if (!end || *end != '\0')
+            if (val.empty() || *end != '\0')
                 fatal(sformat("Record: bad number '%s'", val.c_str()));
             r.set(key, v);
         } else if (line[0] == 'S') {
@@ -421,9 +427,7 @@ Sweep::run()
         Point &p = points_[selected[i]];
         try {
             p.result = Record::deserialize(payloads[i]);
-        } catch (const std::exception &e) {
-            // std::exception, not just FatalError: a garbled escape
-            // sequence surfaces as std::stoi's invalid_argument.
+        } catch (const FatalError &e) {
             // A truncated payload from a worker whose death went
             // unreported (unreapable child) lands here; name the
             // point instead of surfacing a bare codec error.

@@ -7,7 +7,7 @@
  * runs (scheme x packet size x block size x ...). A bench declares
  * each grid point once with add(), calls run(), and then renders its
  * tables from the collected Records; the runner shards the points
- * over a fork()-per-point JobPool and reassembles the rows in
+ * over the fork()-per-point Dispatcher and reassembles the rows in
  * declaration order, so the printed tables are byte-identical to a
  * sequential run no matter how many workers raced.
  *
@@ -194,7 +194,7 @@ class Sweep
  * function resolves the grid coordinates into a ScenarioSpec, runs
  * it, and converts the SpecResult through the sweep's record view
  * (spec / micro / scenario / the record=select metric projection).
- * JobPool sharding, hex-float reassembly, and the shared CLI all
+ * Dispatcher sharding, hex-float reassembly, and the shared CLI all
  * apply unchanged.
  */
 void expandSweep(const SweepSpec &spec, Sweep &sw);

@@ -90,7 +90,7 @@ jobChildMain(int write_fd, const JobMsg &job)
     const std::string bytes = encodeFrame(out);
     writeAllFd(write_fd, bytes.data(), bytes.size(), false);
     ::close(write_fd);
-    // _exit, not exit: see the JobPool child path.
+    // _exit, not exit: see the Dispatcher's local child path.
     ::_exit(0);
 }
 

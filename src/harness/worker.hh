@@ -2,9 +2,9 @@
  * @file
  * The a4worker daemon's engine: accept one dispatcher connection at a
  * time, run each JOB's sweep point in a fork()ed child (the same
- * pristine-address-space guarantee as the local JobPool, and the same
- * checkpoint store via $A4_CKPT_DIR), and stream RESULT/ERROR frames
- * back while heartbeating.
+ * pristine-address-space guarantee as the Dispatcher's local lanes,
+ * and the same checkpoint store via $A4_CKPT_DIR), and stream
+ * RESULT/ERROR frames back while heartbeating.
  *
  * A JOB is self-contained — sweep name, canonical SweepSpec text,
  * point name, forwarded env knobs — so the worker holds no sweep

@@ -18,12 +18,6 @@
  * Actors whose event rate would dominate the queue batch themselves
  * through Engine::Batch — one firing per interval that expands into
  * many timestamped sub-events (see the NIC's burst arrival path).
- *
- * Two pending-event containers implement the same (tick, seq) total
- * order: the default binary heap and a hierarchical timing wheel
- * (A4_ENGINE_QUEUE=wheel) that wins once tens of thousands of events
- * are pending (fleet-scale testbeds). Both pop events in strictly
- * ascending key order, so every run is byte-identical across the two.
  */
 
 #ifndef A4_SIM_ENGINE_HH
@@ -46,30 +40,13 @@ namespace a4
 class Serializer;
 class Deserializer;
 
-/**
- * Pending-event container selection. Heap is the classic binary
- * heap; Wheel is a hierarchical timing wheel (calendar queue) whose
- * insert cost is O(1) instead of O(log n) — it pays off once tens of
- * thousands of events are pending. Both honor the exact (tick, seq)
- * ordering contract, so results are byte-identical by construction.
- */
-enum class QueueMode { Heap, Wheel };
-
 /** Deterministic single-threaded discrete-event engine. */
 class Engine
 {
   public:
-    Engine() : Engine(queueModeFromEnv()) {}
-    explicit Engine(QueueMode mode);
+    Engine() = default;
     Engine(const Engine &) = delete;
     Engine &operator=(const Engine &) = delete;
-
-    /** Which pending-event container this engine runs on. */
-    QueueMode queueMode() const { return mode_; }
-
-    /** $A4_ENGINE_QUEUE (heap|wheel); malformed values warn once and
-     *  fall back to the heap, like every other A4_* knob. */
-    static QueueMode queueModeFromEnv();
 
     /** Current simulated time. */
     Tick now() const { return now_; }
@@ -111,9 +88,7 @@ class Engine
     std::size_t
     pending() const
     {
-        const std::size_t queued =
-            wheel_ ? wheel_->count : queue.size();
-        return queued + (has_front ? 1 : 0);
+        return queue.size() + (has_front ? 1 : 0);
     }
 
     /** Past-dated scheduleAt() occurrences clamped to now(). */
@@ -242,35 +217,6 @@ class Engine
         free_head = &s;
     }
 
-    /**
-     * Hierarchical timing wheel: 8 levels of 256 slots, slot index at
-     * level l = byte l of the event's tick. An event lives at the
-     * level of the highest byte in which its tick differs from the
-     * monotonic floor `base` (level 0 if equal), so every level-0
-     * slot holds events of exactly one tick and the first occupied
-     * level-0 slot at or past byte0(base) holds the global minimum.
-     * Popping cascades the first occupied higher-level slot downward
-     * when level 0 drains. Events scheduled below the floor after it
-     * advanced (a callback running at now < base) collect in `under`;
-     * their ticks are strictly below every wheel tick, so they always
-     * pop first. Each bucket (slot or under) is itself a small binary
-     * min-heap on the key, so same-tick bursts extract in O(log k)
-     * and pops come out in exact (tick, seq) order — byte-identical
-     * to the big heap.
-     */
-    struct Wheel
-    {
-        static constexpr unsigned kLevels = 8;
-        static constexpr unsigned kSlots = 256;
-        std::vector<QueuedEvent> slots[kLevels][kSlots];
-        std::vector<QueuedEvent> under; ///< ticks below the floor
-        Tick base = 0;                  ///< monotonic floor
-        std::size_t count = 0;          ///< events across slots+under
-    };
-
-    void wheelPush(const QueuedEvent &ev);
-    bool wheelPop(QueuedEvent &out);
-
     void growSlab();
     Tick checkWhen(Tick when);
 
@@ -294,21 +240,11 @@ class Engine
             front = ev;
             has_front = true;
         } else if (ev.key < front.key) {
-            pushPending(front);
+            queue.push(front);
             front = ev;
         } else {
-            pushPending(ev);
-        }
-    }
-
-    /** Spill a non-front event into the selected container. */
-    void
-    pushPending(const QueuedEvent &ev)
-    {
-        if (wheel_)
-            wheelPush(ev);
-        else
             queue.push(ev);
+        }
     }
 
     template <typename F>
@@ -322,8 +258,6 @@ class Engine
 
     std::priority_queue<QueuedEvent, std::vector<QueuedEvent>, Later>
         queue;
-    std::unique_ptr<Wheel> wheel_; ///< non-null iff Wheel mode
-    QueueMode mode_ = QueueMode::Heap;
     QueuedEvent front{};      ///< minimum pending event (cache)
     bool has_front = false;
     // Chunked so slot addresses stay stable while callbacks run

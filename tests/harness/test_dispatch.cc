@@ -24,7 +24,6 @@
 #include <unistd.h>
 
 #include "harness/dispatch.hh"
-#include "harness/jobpool.hh"
 #include "harness/spec.hh"
 #include "harness/sweep.hh"
 #include "harness/worker.hh"
@@ -212,29 +211,123 @@ TEST(Dispatch, EnvKnobParsers)
         EXPECT_DOUBLE_EQ(pointTimeoutFromEnv(), 0.0);
         EXPECT_EQ(retryBudgetFromEnv(), 2u);
     }
+    for (const char *bad : {"", "4294967296", "99999999999999999999"}) {
+        ScopedEnv r("A4_POINT_RETRIES", bad);
+        EXPECT_EQ(retryBudgetFromEnv(), 2u) << "'" << bad << "'";
+    }
+    {
+        ScopedEnv r("A4_POINT_RETRIES", "4294967295");
+        EXPECT_EQ(retryBudgetFromEnv(), 4294967295u);
+    }
+    {
+        ScopedEnv t("A4_POINT_TIMEOUT", "");
+        EXPECT_DOUBLE_EQ(pointTimeoutFromEnv(), 0.0);
+        EXPECT_DOUBLE_EQ(pointTimeoutFromEnv(7.5), 7.5);
+    }
+
+    // One warning per offending value, however often it is parsed.
+    auto warnings = [](const char *knob, const std::string &err) {
+        std::size_t n = 0;
+        for (std::size_t pos = err.find(knob); pos != std::string::npos;
+             pos = err.find(knob, pos + 1))
+            ++n;
+        return n;
+    };
+    ScopedEnv r("A4_POINT_RETRIES", "3x");
+    ScopedEnv t("A4_POINT_TIMEOUT", "-1");
+    testing::internal::CaptureStderr();
+    for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(retryBudgetFromEnv(), 2u);
+        EXPECT_DOUBLE_EQ(pointTimeoutFromEnv(), 0.0);
+    }
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(warnings("A4_POINT_RETRIES", err), 1u) << err;
+    EXPECT_EQ(warnings("A4_POINT_TIMEOUT", err), 1u) << err;
 }
 
-TEST(JobPool, FaultInjectedCrashMatchesInProcessRun)
+TEST(Dispatch, ForkedMatchesInProcess)
+{
+    auto fn = [](std::size_t i) {
+        return "payload-" + std::to_string(i * i);
+    };
+    auto label = [](std::size_t i) { return std::to_string(i); };
+
+    auto a = Dispatcher(localConfig(1)).run(9, fn, label);
+    auto b = Dispatcher(localConfig(4)).run(9, fn, label);
+    EXPECT_EQ(a, b);
+}
+
+TEST(Dispatch, ReassemblesInSubmissionOrder)
+{
+    // Earlier jobs sleep longer, so with 4 lanes the completion order
+    // is roughly the reverse of the submission order.
+    auto fn = [](std::size_t i) {
+        ::usleep(useconds_t((8 - i) * 20000));
+        return "job-" + std::to_string(i);
+    };
+    auto label = [](std::size_t i) { return std::to_string(i); };
+    auto out = Dispatcher(localConfig(4)).run(8, fn, label);
+    ASSERT_EQ(out.size(), 8u);
+    for (std::size_t i = 0; i < 8; ++i)
+        EXPECT_EQ(out[i], "job-" + std::to_string(i));
+}
+
+TEST(Dispatch, ChildFailurePropagatesWithPointName)
+{
+    auto fn = [](std::size_t i) -> std::string {
+        if (i == 2)
+            fatal("injected failure");
+        return "ok";
+    };
+    auto label = [](std::size_t i) {
+        return "point-" + std::to_string(i);
+    };
+    Dispatcher d(localConfig(3));
+    try {
+        d.run(5, fn, label);
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("point-2"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Dispatch, LargePayloadsSurviveThePipe)
+{
+    // Larger than the 64 KiB pipe buffer: exercises incremental
+    // draining in the parent.
+    auto fn = [](std::size_t i) {
+        return std::string(256 * 1024, char('a' + int(i)));
+    };
+    auto label = [](std::size_t i) { return std::to_string(i); };
+    auto out = Dispatcher(localConfig(2)).run(3, fn, label);
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(out[i].size(), 256u * 1024u);
+        EXPECT_EQ(out[i][0], char('a' + int(i)));
+    }
+}
+
+TEST(Dispatch, FaultInjectedCrashMatchesInProcessRun)
 {
     auto label = [](std::size_t i) { return "jp" + std::to_string(i); };
-    std::vector<std::string> reference = JobPool(1).run(
-        5, trivialPayload, label);
+    const std::vector<std::string> reference =
+        Dispatcher(localConfig(1)).run(5, trivialPayload, label);
     ScopedEnv fault("A4_FAULT", "crash:jp3");
-    JobPool pool(3);
-    EXPECT_EQ(pool.run(5, trivialPayload, label), reference);
-    EXPECT_EQ(pool.stats().retries, 1u);
+    Dispatcher d(localConfig(3));
+    EXPECT_EQ(d.run(5, trivialPayload, label), reference);
+    EXPECT_EQ(d.stats().retries, 1u);
 }
 
-TEST(JobPool, FaultInjectionDoesNotApplyInProcess)
+TEST(Dispatch, FaultInjectionDoesNotApplyInProcess)
 {
-    // max_jobs == 1 is the clean reference path: no forks, no frames,
-    // no faults — a crash clause for its points must be inert.
+    // One local slot is the clean reference path: no forks, no
+    // frames, no faults — a crash clause for its points must be inert.
     ScopedEnv fault("A4_FAULT", "crash:jp0");
     auto label = [](std::size_t i) { return "jp" + std::to_string(i); };
-    JobPool pool(1);
-    EXPECT_EQ(pool.run(2, trivialPayload, label)[0],
-              trivialPayload(0));
-    EXPECT_EQ(pool.stats().retries, 0u);
+    Dispatcher d(localConfig(1));
+    EXPECT_EQ(d.run(2, trivialPayload, label)[0], trivialPayload(0));
+    EXPECT_EQ(d.stats().retries, 0u);
 }
 
 // ----------------------------------------------------------------

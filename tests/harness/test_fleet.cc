@@ -4,12 +4,11 @@
  * aggregate metrics (harness/fleet.hh), the `replicate =` tenant
  * expansion (expandReplicas), the IOCA-style CLOS grouping pass
  * under exhaustion (groupTenants + A4Manager::per_tenant_clos), and
- * the heap-vs-wheel engine byte-identity on a fleet point.
+ * the fleet aggregates riding the sweep-pipe Record codec.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -398,24 +397,6 @@ TEST(FleetClos, GroupingSnapshotRoundTrips)
     b.mgr->saveState(s2);
     b.eng.saveEnd(s2);
     EXPECT_EQ(s2.data(), s.data());
-}
-
-// --------------------------------------------------------------------
-// Heap vs wheel byte-identity on a fleet point
-
-TEST(FleetEngine, HeapAndWheelRunsAreByteIdentical)
-{
-    const ScenarioSpec spec = fleetSpec(6);
-
-    setenv("A4_ENGINE_QUEUE", "heap", 1);
-    const std::string heap =
-        toRecord(runSpecWithWindows(spec, tinyWindows())).serialize();
-    setenv("A4_ENGINE_QUEUE", "wheel", 1);
-    const std::string wheel =
-        toRecord(runSpecWithWindows(spec, tinyWindows())).serialize();
-    unsetenv("A4_ENGINE_QUEUE");
-
-    EXPECT_EQ(heap, wheel);
 }
 
 TEST(FleetMetrics_, AggregatesRideTheRecordCodec)

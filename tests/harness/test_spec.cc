@@ -3,8 +3,8 @@
  * Tests for the declarative scenario layer (harness/spec.hh): the
  * text codec (bit-exact round-trips, line-numbered rejection), the
  * registry, the generic runSpec() runner's byte-identity with the
- * legacy scenario API, and determinism of the non-paper mixes under
- * the A4_SEED stream selector.
+ * hand-restated figure structs, and determinism of the non-paper
+ * mixes under the A4_SEED stream selector.
  */
 
 #include <gtest/gtest.h>
@@ -220,19 +220,21 @@ TEST(Spec, KindMetadata)
 }
 
 // --------------------------------------------------------------------
-// runSpec: identity with the legacy scenario API, and codecs.
+// runSpec: the scenario runner path (canonical spec + scheme ->
+// runSpecWithWindows -> figure-struct view), and codecs.
 
 TEST(Spec, MicroSpecMatchesLegacyRunnerBitExactly)
 {
     // The fig11 1024 B / 2 MiB point at compressed windows: the
-    // legacy API and a spec that went through the text codec must
-    // produce bit-identical Records.
+    // runner path (microResultFromSpec over microSpec with the scheme
+    // set) and a spec that went through the text codec, restated by
+    // hand, must produce bit-identical Records.
     const Windows win = tinyWindows();
 
-    ScenarioOptions opt;
-    opt.windows = win;
-    MicroResult legacy =
-        runMicroScenario(Scheme::Default, 1024, 2 * kMiB, opt);
+    ScenarioSpec direct = microSpec(1024, 2 * kMiB);
+    direct.scheme = Scheme::Default;
+    const MicroResult runner =
+        microResultFromSpec(runSpecWithWindows(direct, win));
 
     ScenarioSpec spec = parseSpec(serializeSpec(microSpec(1024, 2 * kMiB)));
     SpecResult sr = runSpecWithWindows(spec, win);
@@ -252,28 +254,30 @@ TEST(Spec, MicroSpecMatchesLegacyRunnerBitExactly)
                             double(win.measure) * sr.scale / 1e9;
     from_spec.past_events = sr.past_events;
 
-    EXPECT_EQ(toRecord(legacy).serialize(),
+    EXPECT_EQ(toRecord(runner).serialize(),
               toRecord(from_spec).serialize());
 }
 
 TEST(Spec, RealWorldSpecMatchesLegacyRunnerBitExactly)
 {
-    // A fig13 point (HPW-heavy, Default) at compressed windows:
-    // legacy runner vs text-codec round-tripped registry spec.
+    // A fig13 point (HPW-heavy, Default) at compressed windows: the
+    // runner path (scenarioResultFromSpec over realWorldSpec with the
+    // scheme set) vs the text-codec round-tripped spec, restated by
+    // hand.
     const Windows win = tinyWindows();
 
-    ScenarioOptions opt;
-    opt.windows = win;
-    ScenarioResult legacy =
-        runRealWorldScenario(true, Scheme::Default, opt);
+    ScenarioSpec direct = realWorldSpec(true);
+    direct.scheme = Scheme::Default;
+    const ScenarioResult runner =
+        scenarioResultFromSpec(runSpecWithWindows(direct, win));
 
     ScenarioSpec spec = parseSpec(serializeSpec(realWorldSpec(true)));
     SpecResult sr = runSpecWithWindows(spec, win);
 
-    ASSERT_EQ(sr.workloads.size(), legacy.workloads.size());
+    ASSERT_EQ(sr.workloads.size(), runner.workloads.size());
     for (std::size_t i = 0; i < sr.workloads.size(); ++i) {
         const SpecWorkloadResult &w = sr.workloads[i];
-        const WorkloadResult &l = legacy.workloads[i];
+        const WorkloadResult &l = runner.workloads[i];
         EXPECT_EQ(w.name, l.name);
         EXPECT_EQ(w.hpw, l.hpw);
         EXPECT_EQ(w.multithread_io, l.multithread_io);
@@ -283,10 +287,10 @@ TEST(Spec, RealWorldSpecMatchesLegacyRunnerBitExactly)
     }
     const SpecWorkloadResult *fc = sr.find("fastclick");
     ASSERT_NE(fc, nullptr);
-    EXPECT_EQ(fc->nic_to_host_ns / 1000.0, legacy.fc_nic_to_host_us);
+    EXPECT_EQ(fc->nic_to_host_ns / 1000.0, runner.fc_nic_to_host_us);
     const double to_gbps = 1e9 / double(win.measure) * sr.scale / 1e9;
-    EXPECT_EQ(fc->ingress_bytes * to_gbps, legacy.fc_rd_gbps);
-    EXPECT_EQ(sr.past_events, legacy.past_events);
+    EXPECT_EQ(fc->ingress_bytes * to_gbps, runner.fc_rd_gbps);
+    EXPECT_EQ(sr.past_events, runner.past_events);
 }
 
 TEST(Spec, SpecResultRecordRoundTrips)

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the sweep-runner subsystem: the Record pipe codec, the
- * fork()-per-point JobPool, and the Sweep grid API. The load-bearing
+ * Tests for the sweep-runner subsystem: the Record pipe codec and the
+ * Sweep grid API over the fork()-per-point Dispatcher (whose own lane
+ * and failure tests live in test_dispatch.cc). The load-bearing
  * property is determinism — a parallel run must reproduce the
  * in-process run bit for bit — plus declaration-order reassembly and
  * loud worker-failure propagation.
@@ -14,10 +15,8 @@
 #include <fstream>
 #include <limits>
 
-#include <unistd.h>
-
 #include "harness/builders.hh"
-#include "harness/jobpool.hh"
+#include "harness/experiment.hh"
 #include "harness/scenarios.hh"
 #include "harness/sweep.hh"
 
@@ -78,6 +77,9 @@ TEST(Record, NumericRoundTripIsExact)
         EXPECT_EQ(back.num(key), values[i]) << key;
     }
     EXPECT_TRUE(std::isnan(back.num("nan")));
+
+    // An empty numeric field is corrupt, not zero.
+    EXPECT_THROW(Record::deserialize("N k \n"), FatalError);
 }
 
 TEST(Record, StringAndKeyEscaping)
@@ -95,6 +97,10 @@ TEST(Record, StringAndKeyEscaping)
     EXPECT_FALSE(back.has("absent"));
     EXPECT_THROW(back.num("plain"), FatalError);
     EXPECT_THROW(back.str("absent"), FatalError);
+
+    // '%' takes exactly two hex digits, in values and keys alike.
+    for (const char *bad : {"S k a%4zb\n", "S k ab%4\n", "S k%4g v\n"})
+        EXPECT_THROW(Record::deserialize(bad), FatalError) << bad;
 }
 
 TEST(Record, PreservesEntryOrder)
@@ -108,73 +114,6 @@ TEST(Record, PreservesEntryOrder)
     EXPECT_EQ(back.entries()[0].key, "z");
     EXPECT_EQ(back.entries()[1].key, "a");
     EXPECT_EQ(back.entries()[2].key, "m");
-}
-
-TEST(JobPool, ForkedMatchesInProcess)
-{
-    auto fn = [](std::size_t i) {
-        return "payload-" + std::to_string(i * i);
-    };
-    auto label = [](std::size_t i) { return std::to_string(i); };
-
-    JobPool serial(1);
-    JobPool parallel(4);
-    auto a = serial.run(9, fn, label);
-    auto b = parallel.run(9, fn, label);
-    EXPECT_EQ(a, b);
-}
-
-TEST(JobPool, ReassemblesInSubmissionOrder)
-{
-    // Earlier jobs sleep longer, so with 4 workers the completion
-    // order is roughly the reverse of the submission order.
-    auto fn = [](std::size_t i) {
-        ::usleep(useconds_t((8 - i) * 20000));
-        return "job-" + std::to_string(i);
-    };
-    auto label = [](std::size_t i) { return std::to_string(i); };
-    JobPool pool(4);
-    auto out = pool.run(8, fn, label);
-    ASSERT_EQ(out.size(), 8u);
-    for (std::size_t i = 0; i < 8; ++i)
-        EXPECT_EQ(out[i], "job-" + std::to_string(i));
-}
-
-TEST(JobPool, ChildFailurePropagatesWithPointName)
-{
-    auto fn = [](std::size_t i) -> std::string {
-        if (i == 2)
-            fatal("injected failure");
-        return "ok";
-    };
-    auto label = [](std::size_t i) {
-        return "point-" + std::to_string(i);
-    };
-    JobPool pool(3);
-    try {
-        pool.run(5, fn, label);
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find("point-2"),
-                  std::string::npos)
-            << e.what();
-    }
-}
-
-TEST(JobPool, LargePayloadsSurviveThePipe)
-{
-    // Larger than the 64 KiB pipe buffer: exercises incremental
-    // draining in the parent.
-    auto fn = [](std::size_t i) {
-        return std::string(256 * 1024, char('a' + int(i)));
-    };
-    auto label = [](std::size_t i) { return std::to_string(i); };
-    JobPool pool(2);
-    auto out = pool.run(3, fn, label);
-    for (std::size_t i = 0; i < 3; ++i) {
-        EXPECT_EQ(out[i].size(), 256u * 1024u);
-        EXPECT_EQ(out[i][0], char('a' + int(i)));
-    }
 }
 
 TEST(Sweep, ParallelRunIsBitIdenticalToInProcess)
@@ -302,28 +241,6 @@ TEST(SweepOptions, EffectiveJobsHonoursEnv)
 
     if (saved)
         setenv("A4_JOBS", saved_val.c_str(), 1);
-}
-
-TEST(ScenarioCodec, MicroResultRoundTrips)
-{
-    MicroResult m;
-    for (unsigned v = 0; v < 3; ++v) {
-        m.xmem_ipc[v] = 0.1 * (v + 1);
-        m.xmem_hit[v] = 0.31 * (v + 1);
-    }
-    m.net_tail_us = 12.75;
-    m.net_rd_gbps = 88.125;
-    m.past_events = 7.0;
-
-    MicroResult back = microResultFrom(
-        Record::deserialize(toRecord(m).serialize()));
-    for (unsigned v = 0; v < 3; ++v) {
-        EXPECT_EQ(back.xmem_ipc[v], m.xmem_ipc[v]);
-        EXPECT_EQ(back.xmem_hit[v], m.xmem_hit[v]);
-    }
-    EXPECT_EQ(back.net_tail_us, m.net_tail_us);
-    EXPECT_EQ(back.net_rd_gbps, m.net_rd_gbps);
-    EXPECT_EQ(back.past_events, m.past_events);
 }
 
 TEST(ScenarioCodec, ScenarioResultRoundTrips)

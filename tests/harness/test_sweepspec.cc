@@ -418,9 +418,11 @@ TEST(SweepSpec, Fig11PointMatchesRunMicroScenario)
         toRecord(microResultFromSpec(runSpecWithWindows(spec,
                                                         tinyWindows())));
 
-    ScenarioOptions opt;
-    opt.windows = tinyWindows();
-    const Record direct =
-        toRecord(runMicroScenario(Scheme::A4d, 256, 2 * kMiB, opt));
+    // The same point spelt directly: the canonical micro spec with
+    // the scheme set, through the runner path.
+    ScenarioSpec spec_direct = microSpec(256, 2 * kMiB);
+    spec_direct.scheme = Scheme::A4d;
+    const Record direct = toRecord(microResultFromSpec(
+        runSpecWithWindows(spec_direct, tinyWindows())));
     EXPECT_EQ(via_sweep.serialize(), direct.serialize());
 }

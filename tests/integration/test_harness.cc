@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "harness/builders.hh"
+#include "harness/experiment.hh"
 #include "harness/scenarios.hh"
 #include "harness/table.hh"
 
