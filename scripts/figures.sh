@@ -8,12 +8,11 @@
 # =0.25) so a full regeneration stays interactive; export
 # A4_TEST_DURATION_SCALE=1 (or an explicit A4_BENCH_WINDOWS_MS) for
 # full-fidelity numbers. Parallelism comes from the benches' sweep
-# runner: all points of a bench fan out over $A4_JOBS worker
-# processes (default: all cores), plus any remote a4worker daemons in
-# $A4_WORKERS (comma-separated host:port list) — the benches read it
-# directly, and the dispatcher's retry/re-dispatch counts land in the
-# per-bench wrapper next to wall_s (outside the deterministic
-# "metrics", which stay byte-identical however the points ran).
+# runner: all points of a bench fan out over $A4_JOBS local worker
+# processes (default: all cores), and the dispatcher's retry count
+# lands in the per-bench wrapper next to wall_s (outside the
+# deterministic "metrics", which stay byte-identical however the
+# points ran).
 #
 # Usage: scripts/figures.sh [build-dir] [output.json]
 #   build-dir     built tree with bench/ binaries (default: build)
@@ -52,7 +51,7 @@ if [ ! -x "$A4BENCH" ]; then
 fi
 
 mkdir -p "$OUT_DIR"
-declare -A WALL RETRIES REDISPATCHES
+declare -A WALL RETRIES
 
 for b in "${BENCHES[@]}"; do
   echo "== $b (jobs=$JOBS, duration scale $A4_TEST_DURATION_SCALE) =="
@@ -64,13 +63,10 @@ for b in "${BENCHES[@]}"; do
   WALL[$b]=$(awk -v a="$start" -v b="$(date +%s.%N)" \
              'BEGIN { printf "%.3f", b - a }')
   # The sweep runner emits a "dispatch" line only when the failure
-  # model had to act; a clean run records 0/0 here.
+  # model had to act; a clean run records 0 here.
   RETRIES[$b]=$(sed -n \
     's/.*"dispatch": {"retries": \([0-9]*\).*/\1/p' "$OUT_DIR/$b.json")
-  REDISPATCHES[$b]=$(sed -n \
-    's/.*"redispatches": \([0-9]*\).*/\1/p' "$OUT_DIR/$b.json")
   RETRIES[$b]=${RETRIES[$b]:-0}
-  REDISPATCHES[$b]=${REDISPATCHES[$b]:-0}
 done
 
 # Aggregate: each bench's JSON verbatim, wrapped with its wall-clock.
@@ -83,8 +79,8 @@ done
   echo '  "benches": ['
   sep=''
   for b in "${BENCHES[@]}"; do
-    printf '%s    {"name": "%s", "wall_s": %s, "dispatch_retries": %s, "dispatch_redispatches": %s, "result":\n' \
-      "$sep" "$b" "${WALL[$b]}" "${RETRIES[$b]}" "${REDISPATCHES[$b]}"
+    printf '%s    {"name": "%s", "wall_s": %s, "dispatch_retries": %s, "result":\n' \
+      "$sep" "$b" "${WALL[$b]}" "${RETRIES[$b]}"
     sed 's/^/    /' "$OUT_DIR/$b.json"
     printf '    }'
     sep=$',\n'

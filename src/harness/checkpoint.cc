@@ -16,8 +16,7 @@
 #include "harness/testbed.hh"
 #include "iodev/nic.hh"
 #include "iodev/nvme.hh"
-#include "net/frame.hh"    // the repo-wide fnv1a64
-#include "net/protocol.hh" // buildTag()
+#include "net/frame.hh" // the repo-wide fnv1a64
 #include "sim/log.hh"
 #include "sim/rng.hh"
 #include "sim/serialize.hh"
@@ -68,6 +67,30 @@ checkpointDir()
 }
 
 std::string
+buildTag()
+{
+    // liba4 is a static library, so any change to the simulator
+    // changes the linked executable and with it this hash. Computed
+    // once per process; forked sweep points inherit the value.
+    static const std::string tag = [] {
+        std::ifstream in("/proc/self/exe", std::ios::binary);
+        std::ostringstream raw;
+        if (in)
+            raw << in.rdbuf();
+        const std::string exe = raw.str();
+        if (exe.empty()) {
+            std::fprintf(stderr,
+                         "warning: A4_CKPT_DIR: cannot read the running "
+                         "executable to key images; running cold\n");
+            return std::string();
+        }
+        return sformat("%016llx",
+                       static_cast<unsigned long long>(fnv1a64(exe)));
+    }();
+    return tag;
+}
+
+std::string
 checkpointKeyText(const ScenarioSpec &spec, Tick warmup)
 {
     // The measure window only affects post-boundary behaviour, so
@@ -84,8 +107,7 @@ checkpointKeyText(const ScenarioSpec &spec, Tick warmup)
 
     std::string key;
     key += sformat("format = %u\n", kSnapshotFormatVersion);
-    // Same identity the dispatch layer's HELLO exchanges: an image
-    // is only trusted within one build (tag overridable for tests).
+    // An image is only trusted by the executable that wrote it.
     key += sformat("build = %s\n", buildTag().c_str());
     key += sformat("warmup_ticks = %llu\n",
                    static_cast<unsigned long long>(warmup));

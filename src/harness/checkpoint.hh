@@ -10,20 +10,21 @@
  * daemon — at the exact warm-up boundary and restores it on the next
  * run of an identical (spec, warm-up) pair, skipping the warm-up
  * entirely. Restores happen inside the Dispatcher's fork()-per-point
- * children and remote workers too, so one cold point warms the whole
- * grid.
+ * children too, so one cold point warms the whole grid.
  *
  * Keying is content-addressed and conservative: the key text is the
  * canonical serialized spec (minus the measure window, which only
  * affects post-boundary behaviour), the *resolved* warm-up tick
  * count, the resolved values of every environment knob that shapes
  * pre-boundary state ($A4_SEED, $A4_NIC_BURST, $A4_NVME_LAZY), the
- * snapshot format version, and a build tag. The image file embeds
- * the full key text and a payload checksum; any mismatch — stale
- * binary, truncated file, bit rot, hash collision — falls back to a
- * cold run with a single stderr warning. Restored runs are
- * bit-identical to cold runs (pinned by tests/harness); the store is
- * purely a wall-clock optimisation.
+ * snapshot format version, and the build tag — a hash of the running
+ * executable, so images are per executable (a4bench and a4sim do not
+ * share a store) and a rebuilt simulator never restores a stale
+ * image. The image file embeds the full key text and a payload
+ * checksum; any mismatch — truncated file, bit rot, hash collision —
+ * falls back to a cold run with a single stderr warning. Restored
+ * runs are bit-identical to cold runs (pinned by tests/harness); the
+ * store is purely a wall-clock optimisation.
  */
 
 #ifndef A4_HARNESS_CHECKPOINT_HH
@@ -42,6 +43,13 @@ class A4Manager;
 
 /** $A4_CKPT_DIR; empty = checkpointing disabled. */
 std::string checkpointDir();
+
+/**
+ * Hex FNV-1a-64 of the running executable (/proc/self/exe), computed
+ * once per process. Empty — after one warning — when the file cannot
+ * be read; checkpointing then stays off and every run is cold.
+ */
+std::string buildTag();
 
 /**
  * The content-address key text of @p spec's warm-up image (see the

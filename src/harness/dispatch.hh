@@ -1,39 +1,26 @@
 /**
  * @file
  * Fault-tolerant job dispatcher: the one engine behind every sweep
- * run, local or distributed.
+ * run.
  *
- * A run shards its points across two kinds of lanes that drain one
- * shared queue:
+ * A run shards its points over local lanes that drain one shared
+ * queue: fork()-per-point children, each returning its payload as one
+ * checksummed frame (net/frame.hh) over a pipe.
  *
- *   - local lanes: fork()-per-point children, payload framed over a
- *     pipe;
- *   - remote lanes: a4worker daemons reached over TCP (net/), one
- *     in-flight JOB each, liveness tracked by HEARTBEATs.
- *
- * Failure model (the degradation ladder):
- *
- *   1. A failed attempt — child crash, per-point timeout, corrupt or
- *      truncated result frame, worker-reported ERROR — re-queues the
- *      point and consumes one unit of its bounded retry budget
- *      (default 2 retries; $A4_POINT_RETRIES). Exhaustion is a loud
- *      fatal() naming the point and the lane that failed it.
- *   2. A lost worker — connection drop, bad frame, heartbeat silence
- *      — gets its in-flight point re-dispatched (free: worker loss is
- *      not the point's fault) and is re-connected with exponential
- *      backoff; repeated losses retire the worker for the run.
- *   3. All workers gone degrades to the local pool alone — the run
- *      completes, slower, with one warning.
+ * Failure model: a failed attempt — child crash, per-point timeout,
+ * corrupt or truncated result frame — re-queues the point and
+ * consumes one unit of its bounded retry budget (default 2 retries;
+ * $A4_POINT_RETRIES). Exhaustion is a loud fatal() naming the point
+ * and the lane that failed it.
  *
  * Results are reassembled in submission order, so every recovery path
- * produces output byte-identical to a clean local `--jobs 1` run.
+ * produces output byte-identical to a clean in-process `--jobs 1` run.
  *
  * Deterministic fault injection ($A4_FAULT, test/CI only):
  * comma-separated `kind:point` clauses with kind one of crash (child
  * SIGKILLs itself), hang (child blocks until the timeout kills it),
  * corrupt (one payload byte flipped — the frame checksum catches it),
- * drop (local: the child truncates its frame; remote: the worker
- * closes the connection mid-RESULT). A fault fires on attempt 0
+ * drop (the child truncates its frame). A fault fires on attempt 0
  * only, so every injected failure recovers on the retry.
  */
 
@@ -51,28 +38,19 @@ namespace a4
 /** How a run executes: lanes, budgets, deadlines. */
 struct DispatchConfig
 {
-    std::string bench;                ///< for diagnostics
-    unsigned local_slots = 1;         ///< concurrent local children
-    std::vector<std::string> workers; ///< "host:port" remote lanes
-    std::string sweep_text;           ///< serialized SweepSpec for JOBs
-    double point_timeout_s = 0;       ///< 0 = no per-point timeout
-    unsigned retry_budget = 2;        ///< retries per point, not tries
-    double worker_silence_s = 5.0;    ///< heartbeat-loss window
-    double connect_timeout_s = 2.0;   ///< per connect() attempt
-    unsigned reconnect_attempts = 3;  ///< consecutive failures allowed
-    double reconnect_backoff_s = 0.25; ///< doubles per failure
+    std::string bench;          ///< for diagnostics
+    unsigned local_slots = 1;   ///< concurrent local children
+    double point_timeout_s = 0; ///< 0 = no per-point timeout
+    unsigned retry_budget = 2;  ///< retries per point, not tries
 };
 
-/** What the failure model had to do (all zero on a clean run). */
+/** What the failure model had to do (zero on a clean run). */
 struct DispatchStats
 {
-    unsigned retries = 0;       ///< failed attempts re-queued
-    unsigned redispatches = 0;  ///< points re-queued on worker loss
-    unsigned workers_lost = 0;  ///< workers retired for the run
-    unsigned remote_points = 0; ///< points completed by workers
+    unsigned retries = 0; ///< failed attempts re-queued
 };
 
-/** One shared job queue drained by local + remote lanes. */
+/** One shared job queue drained by local fork lanes. */
 class Dispatcher
 {
   public:
@@ -80,13 +58,11 @@ class Dispatcher
 
     /**
      * Run @p n jobs and return their payloads in index order.
-     * @p fn computes job @p i's payload (in a child process, or on a
-     * worker via the sweep text); @p label names job @p i — both for
-     * diagnostics and as the JOB point name, so with remote workers
-     * it must be the expanded SweepSpec point name.
+     * @p fn computes job @p i's payload (in a child process); @p label
+     * names job @p i for diagnostics and $A4_FAULT matching.
      *
-     * With no workers and local_slots <= 1 the jobs run in-process —
-     * the debugging/reference path (fault injection does not apply).
+     * With local_slots <= 1 the jobs run in-process — the
+     * debugging/reference path (fault injection does not apply).
      */
     std::vector<std::string>
     run(std::size_t n, const std::function<std::string(std::size_t)> &fn,
@@ -103,17 +79,12 @@ class Dispatcher
 // --------------------------------------------------------------------
 // Failure-model env knobs + fault injection
 
-/** $A4_POINT_TIMEOUT (seconds, fractional ok) or @p fallback. */
+/** $A4_POINT_TIMEOUT (finite seconds, fractional ok) or
+ *  @p fallback. */
 double pointTimeoutFromEnv(double fallback = 0);
 
 /** $A4_POINT_RETRIES or @p fallback. */
 unsigned retryBudgetFromEnv(unsigned fallback = 2);
-
-/** $A4_WORKERS (comma-separated host:port list) or empty. */
-std::vector<std::string> workersFromEnv();
-
-/** Split a comma-separated worker list (empty elements dropped). */
-std::vector<std::string> parseWorkerList(const std::string &list);
 
 /** Injected failure kinds (see the file comment). */
 enum class FaultKind

@@ -1527,7 +1527,7 @@ runSpecWithWindows(const ScenarioSpec &raw_spec, const Windows &win)
                       spec.name.empty() ? "<spec>" : spec.name.c_str()));
 
     const std::string dir = checkpointDir();
-    if (dir.empty())
+    if (dir.empty() || buildTag().empty())
         return runSpecAttempt(spec, win, nullptr, nullptr, nullptr);
 
     const std::string key_text = checkpointKeyText(spec, win.warmup);

@@ -10,6 +10,7 @@
 #include <optional>
 #include <thread>
 
+#include "harness/checkpoint.hh"
 #include "harness/experiment.hh"
 #include "harness/spec.hh"
 #include "harness/table.hh"
@@ -189,7 +190,7 @@ usage(const std::string &bench, int code)
     std::FILE *out = code ? stderr : stdout;
     std::fprintf(out,
                  "usage: %s [--jobs N] [--filter SUBSTR] [--json PATH] "
-                 "[--workers LIST] [--list]\n"
+                 "[--list]\n"
                  "  --jobs N, -j N  worker processes (default: $A4_JOBS,"
                  " else all hardware\n"
                  "                  threads); 1 runs points in-process\n"
@@ -207,13 +208,7 @@ usage(const std::string &bench, int code)
                  "  --seed N        RNG stream selector (sets $A4_SEED "
                  "for every point and\n"
                  "                  forked worker); 0 = the built-in "
-                 "default streams\n"
-                 "  --workers LIST  comma-separated host:port a4worker "
-                 "daemons (default:\n"
-                 "                  $A4_WORKERS); shards points over "
-                 "remote workers and the\n"
-                 "                  local fork slots, with "
-                 "retry/re-dispatch on failure\n",
+                 "default streams\n",
                  bench.c_str());
     std::exit(code);
 }
@@ -260,8 +255,7 @@ bool
 SweepOptions::takesValue(const std::string &flag)
 {
     return flag == "--jobs" || flag == "-j" || flag == "--filter" ||
-           flag == "--json" || flag == "--burst" || flag == "--seed" ||
-           flag == "--workers";
+           flag == "--json" || flag == "--burst" || flag == "--seed";
 }
 
 SweepOptions
@@ -287,8 +281,6 @@ SweepOptions::parse(const std::string &bench, int argc, char **argv)
             opt.burst = val;
         } else if (optValue(bench, argc, argv, i, "--seed", val)) {
             opt.seed = val;
-        } else if (optValue(bench, argc, argv, i, "--workers", val)) {
-            opt.workers = val;
         } else if (arg == "--list") {
             opt.list = true;
         } else {
@@ -318,14 +310,6 @@ SweepOptions::effectiveJobs() const
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
-}
-
-std::vector<std::string>
-SweepOptions::effectiveWorkers() const
-{
-    if (!workers.empty())
-        return parseWorkerList(workers);
-    return workersFromEnv();
 }
 
 // --------------------------------------------------------------------
@@ -395,6 +379,8 @@ Sweep::run()
     NicConfig::burstFromEnv();
     SsdConfig::lazyFromEnv();
     envSeed();
+    if (!checkpointDir().empty())
+        buildTag(); // hash the executable once, before forking
 
     jobs_used_ =
         std::min<std::size_t>(opt_.effectiveJobs(),
@@ -402,18 +388,8 @@ Sweep::run()
     DispatchConfig dc;
     dc.bench = bench_;
     dc.local_slots = jobs_used_;
-    dc.workers = opt_.effectiveWorkers();
-    dc.sweep_text = remote_text_;
     dc.point_timeout_s = pointTimeoutFromEnv();
     dc.retry_budget = retryBudgetFromEnv();
-    if (!dc.workers.empty() && dc.sweep_text.empty()) {
-        // Hand-written add() closures cannot travel over TCP; only
-        // declarative sweeps (expandSweep) set the remote text.
-        std::fprintf(stderr,
-                     "warning: sweep %s: ignoring remote workers "
-                     "(sweep is not declarative)\n", bench_.c_str());
-        dc.workers.clear();
-    }
     Dispatcher pool(std::move(dc));
     std::vector<std::string> payloads = pool.run(
         selected.size(),
@@ -437,15 +413,6 @@ Sweep::run()
         }
         p.done = true;
     }
-}
-
-void
-Sweep::setRemoteSweep(std::string sweep_text)
-{
-    if (ran_)
-        fatal(sformat("sweep %s: setRemoteSweep() after run()",
-                      bench_.c_str()));
-    remote_text_ = std::move(sweep_text);
 }
 
 const Record *
@@ -533,12 +500,10 @@ Sweep::writeJson(const std::string &path) const
     out << "  \"schema_version\": 1,\n";
     out << "  \"jobs\": " << jobs_used_ << ",\n";
     // What the failure model had to do, on its own greppable line —
-    // nondeterministic like "wall", so absent on a clean run (clean
-    // distributed output stays byte-identical to clean local output)
-    // and easy to drop from byte-level diffs.
-    if (stats_.retries || stats_.redispatches) {
+    // nondeterministic like "wall", so absent on a clean run and easy
+    // to drop from byte-level diffs.
+    if (stats_.retries) {
         out << "  \"dispatch\": {\"retries\": " << stats_.retries
-            << ", \"redispatches\": " << stats_.redispatches
             << "},\n";
     }
     // Non-default RNG stream: stamp it so a recorded JSON can always
@@ -602,8 +567,7 @@ Sweep::finish() const
 namespace
 {
 
-/** Run one resolved point and convert it through the record view —
- *  the shared body of a local point closure and a remote JOB. */
+/** Run one resolved point and convert it through the record view. */
 Record
 pointRecord(const ScenarioSpec &point_spec, SweepRecordView view,
             const std::vector<SpecKnob> &metrics)
@@ -641,10 +605,6 @@ expandSweep(const SweepSpec &spec, Sweep &sw)
 {
     const std::string origin =
         spec.name.empty() ? "<sweep>" : spec.name;
-    // A declarative sweep is shippable: its canonical text plus any
-    // expanded point name reproduces that point's Record anywhere
-    // the build tags match.
-    sw.setRemoteSweep(serializeSweepSpec(spec));
     for (SweepPoint &p : expandSweepSpec(spec, origin)) {
         const SweepRecordView view = spec.record;
         const std::vector<SpecKnob> metrics =
@@ -654,25 +614,6 @@ expandSweep(const SweepSpec &spec, Sweep &sw)
             return pointRecord(point_spec, view, metrics);
         });
     }
-}
-
-Record
-runSweepPointRecord(const SweepSpec &spec, const std::string &point,
-                    const std::string &origin_in)
-{
-    const std::string origin =
-        !origin_in.empty() ? origin_in
-        : spec.name.empty() ? "<sweep>"
-                            : spec.name;
-    for (SweepPoint &p : expandSweepSpec(spec, origin)) {
-        if (p.name != point)
-            continue;
-        const std::vector<SpecKnob> &metrics =
-            p.grid->metrics.empty() ? spec.metrics : p.grid->metrics;
-        return pointRecord(p.spec, spec.record, metrics);
-    }
-    fatal(sformat("sweep %s: unknown point '%s'", origin.c_str(),
-                  point.c_str()));
 }
 
 namespace

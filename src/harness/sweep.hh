@@ -28,12 +28,6 @@
  *                     sweep or spec re-runs under a different — but
  *                     still deterministic — random stream; 0 (the
  *                     default) keeps the built-in streams
- *   --workers LIST    comma-separated host:port a4worker daemons
- *                     (default: $A4_WORKERS); points are sharded
- *                     over the remote workers and the local fork
- *                     slots together, with retry/re-dispatch on
- *                     failure (see harness/dispatch.hh) — output
- *                     stays byte-identical to a local run
  *
  * Record values round-trip through the worker pipe as C99 hex floats,
  * so a parallel run reproduces the in-process doubles bit for bit.
@@ -93,9 +87,8 @@ struct SweepOptions
     unsigned jobs = 0; ///< 0 = auto ($A4_JOBS, else hw threads)
     std::string filter;
     std::string json_path;
-    std::string burst;   ///< non-empty: exported as $A4_NIC_BURST
-    std::string seed;    ///< non-empty: exported as $A4_SEED
-    std::string workers; ///< comma-separated host:port list
+    std::string burst; ///< non-empty: exported as $A4_NIC_BURST
+    std::string seed;  ///< non-empty: exported as $A4_SEED
     bool list = false;
 
     /** Parse argv; prints usage and exits on --help / bad args. */
@@ -109,9 +102,6 @@ struct SweepOptions
 
     /** Resolved worker count (auto -> env/hardware). */
     unsigned effectiveJobs() const;
-
-    /** Resolved remote worker list (--workers, else $A4_WORKERS). */
-    std::vector<std::string> effectiveWorkers() const;
 };
 
 /** A figure bench's declared grid of named points. */
@@ -145,15 +135,6 @@ class Sweep
     const std::string &bench() const { return bench_; }
     const SweepOptions &options() const { return opt_; }
 
-    /**
-     * Make the sweep shippable to remote workers: @p sweep_text is
-     * the canonical serialized SweepSpec whose expanded point names
-     * equal the add()ed point names (expandSweep() sets this). A
-     * sweep of hand-written closures has no declarative text, so
-     * --workers is ignored for it with a warning.
-     */
-    void setRemoteSweep(std::string sweep_text);
-
     /** What the failure model had to do during run(). */
     const DispatchStats &dispatchStats() const { return stats_; }
 
@@ -180,7 +161,6 @@ class Sweep
     std::string bench_;
     SweepOptions opt_;
     std::vector<Point> points_;
-    std::string remote_text_; ///< serialized SweepSpec for JOBs
     DispatchStats stats_;
     bool ran_ = false;
     unsigned jobs_used_ = 0; ///< workers run() actually used
@@ -198,17 +178,6 @@ class Sweep
  * apply unchanged.
  */
 void expandSweep(const SweepSpec &spec, Sweep &sw);
-
-/**
- * Run the single expanded point named @p point of @p spec and return
- * its Record (through the sweep's record view, wall-clock keys
- * included) — the remote worker's entry point: a SweepSpec plus a
- * point name fully determines the result. Fatal when @p point is not
- * an expanded point of @p spec.
- */
-Record runSweepPointRecord(const SweepSpec &spec,
-                           const std::string &point,
-                           const std::string &origin);
 
 /** Render the sweep's declarative output elements from the collected
  *  Records (sections, tables, the per-workload table, notes). */

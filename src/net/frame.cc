@@ -44,13 +44,6 @@ getU64(const char *p)
     return v;
 }
 
-bool
-validType(std::uint8_t t)
-{
-    return t >= std::uint8_t(FrameType::Hello) &&
-           t <= std::uint8_t(FrameType::Error);
-}
-
 } // namespace
 
 std::uint64_t
@@ -90,90 +83,47 @@ encodeFrame(const Frame &f)
     return out;
 }
 
-void
-FrameReader::feed(const char *data, std::size_t len)
-{
-    // Compact the consumed prefix before growing, so a long-lived
-    // connection doesn't accumulate every frame it ever parsed.
-    if (pos_ > 0 && pos_ == buf_.size()) {
-        buf_.clear();
-        pos_ = 0;
-    } else if (pos_ > (std::size_t(1) << 20)) {
-        buf_.erase(0, pos_);
-        pos_ = 0;
-    }
-    buf_.append(data, len);
-}
-
-void
-FrameReader::feed(const std::string &data)
-{
-    feed(data.data(), data.size());
-}
-
-FrameReader::Status
-FrameReader::next(Frame &out, std::string &err)
-{
-    if (bad_) {
-        err = bad_why_;
-        return Status::Bad;
-    }
-    const std::size_t have = buf_.size() - pos_;
-    if (have < kFrameHeaderSize)
-        return Status::Need;
-    const char *p = buf_.data() + pos_;
-
-    const char *why = nullptr;
-    if (std::memcmp(p, kMagic, sizeof(kMagic)) != 0)
-        why = "bad magic";
-    const std::uint8_t type = std::uint8_t(p[4]);
-    const std::uint64_t tag = getU64(p + 5);
-    const std::uint32_t len = getU32(p + 13);
-    if (!why && len > kFrameMaxPayload)
-        why = "oversize payload length";
-    if (!why && !validType(type))
-        why = "unknown frame type";
-    if (!why) {
-        if (have < kFrameOverhead + len)
-            return Status::Need;
-        const std::uint64_t want = getU64(p + kFrameHeaderSize + len);
-        const std::uint64_t got =
-            fnv1a64(p + sizeof(kMagic),
-                    kFrameHeaderSize - sizeof(kMagic) + len);
-        if (want != got)
-            why = "checksum mismatch";
-    }
-    if (why) {
-        bad_ = true;
-        bad_why_ = err = why;
-        return Status::Bad;
-    }
-
-    out.type = FrameType(type);
-    out.tag = tag;
-    out.payload.assign(p + kFrameHeaderSize, len);
-    pos_ += kFrameOverhead + len;
-    return Status::Ready;
-}
-
 bool
 decodeFrameBlob(const std::string &blob, Frame &out, std::string &err)
 {
-    FrameReader rd;
-    rd.feed(blob);
-    switch (rd.next(out, err)) {
-      case FrameReader::Status::Ready:
-        break;
-      case FrameReader::Status::Need:
-        err = sformat("truncated frame (%zu bytes)", blob.size());
+    const std::size_t have = blob.size();
+    const char *p = blob.data();
+    const auto truncated = [&] {
+        err = sformat("truncated frame (%zu bytes)", have);
         return false;
-      case FrameReader::Status::Bad:
+    };
+    if (have < kFrameHeaderSize)
+        return truncated();
+    if (std::memcmp(p, kMagic, sizeof(kMagic)) != 0) {
+        err = "bad magic";
         return false;
     }
-    if (rd.midFrame()) {
+    const std::uint8_t type = std::uint8_t(p[4]);
+    const std::uint32_t len = getU32(p + 13);
+    if (len > kFrameMaxPayload) {
+        err = "oversize payload length";
+        return false;
+    }
+    if (type != std::uint8_t(FrameType::Result)) {
+        err = "unknown frame type";
+        return false;
+    }
+    if (have < kFrameOverhead + len)
+        return truncated();
+    const std::uint64_t want = getU64(p + kFrameHeaderSize + len);
+    const std::uint64_t got = fnv1a64(
+        p + sizeof(kMagic), kFrameHeaderSize - sizeof(kMagic) + len);
+    if (want != got) {
+        err = "checksum mismatch";
+        return false;
+    }
+    if (have > kFrameOverhead + len) {
         err = "trailing bytes after frame";
         return false;
     }
+    out.type = FrameType(type);
+    out.tag = getU64(p + 5);
+    out.payload.assign(p + kFrameHeaderSize, len);
     return true;
 }
 

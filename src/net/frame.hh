@@ -1,28 +1,25 @@
 /**
  * @file
- * Framed-message codec shared by every result transport.
+ * Framed-message codec for the dispatcher's result pipes.
  *
- * A frame is the unit in which job payloads travel — over the TCP
- * link to a remote a4worker and over the pipe from a local fork()ed
- * sweep child alike. One codec for both paths means a truncated or
- * corrupted payload is rejected the same way everywhere: by length
- * first (the header announces exactly how many bytes follow) and by
- * an FNV-1a-64 checksum second, never by downstream parse luck.
+ * A frame is the unit in which a fork()ed sweep child returns its
+ * payload to the parent. A truncated or corrupted payload is rejected
+ * by length first (the header announces exactly how many bytes
+ * follow) and by an FNV-1a-64 checksum second, never by downstream
+ * parse luck.
  *
  * Wire layout (all integers little-endian):
  *
  *   magic   4 bytes  "A4F1" (frame format version 1)
  *   type    u8       FrameType
- *   tag     u64      correlation id (job tag; 0 where unused)
+ *   tag     u64      correlation id (the job index)
  *   len     u32      payload byte count
  *   payload len bytes
  *   check   u64      fnv1a64 over type..payload (everything between
  *                    magic and check)
  *
- * The reader is incremental (feed() bytes as they arrive, next()
- * yields complete frames) because TCP delivers arbitrary fragments;
- * decodeFrameBlob() is the strict one-shot form for the pipe path,
- * where the blob must contain exactly one frame and nothing else.
+ * decodeFrameBlob() is strict: the blob must contain exactly one
+ * frame and nothing else.
  */
 
 #ifndef A4_NET_FRAME_HH
@@ -35,20 +32,16 @@
 namespace a4
 {
 
-/** Message kinds of the dispatcher <-> worker protocol. */
+/** Message kinds; a pipe carries only results. */
 enum class FrameType : std::uint8_t
 {
-    Hello = 1,     ///< build tag + protocol version handshake
-    Job = 2,       ///< sweep name + spec text + point to run
-    Result = 3,    ///< serialized Record payload of a finished point
-    Heartbeat = 4, ///< liveness beacon (empty payload)
-    Error = 5,     ///< human-readable failure report for a job
+    Result = 3, ///< serialized Record payload of a finished point
 };
 
 /** One decoded frame. */
 struct Frame
 {
-    FrameType type = FrameType::Heartbeat;
+    FrameType type = FrameType::Result;
     std::uint64_t tag = 0;
     std::string payload;
 };
@@ -71,45 +64,11 @@ std::uint64_t fnv1a64(const std::string &data);
 /** Encode @p f into its wire bytes (fatal on oversize payload). */
 std::string encodeFrame(const Frame &f);
 
-/** Incremental frame parser over an arriving byte stream. */
-class FrameReader
-{
-  public:
-    enum class Status
-    {
-        Need,  ///< no complete frame buffered yet
-        Ready, ///< a frame was produced
-        Bad,   ///< stream corrupt; the connection must be dropped
-    };
-
-    /** Append newly received bytes. */
-    void feed(const char *data, std::size_t len);
-    void feed(const std::string &data);
-
-    /**
-     * Extract the next complete frame into @p out. On Bad, @p err
-     * names the defect (bad magic, oversize length, checksum
-     * mismatch, unknown type); the stream is poisoned and every
-     * later call returns Bad again.
-     */
-    Status next(Frame &out, std::string &err);
-
-    /** True when bytes of an incomplete frame are buffered — an EOF
-     *  now means the peer died mid-frame (truncated RESULT). */
-    bool midFrame() const { return !bad_ && pos_ < buf_.size(); }
-
-  private:
-    std::string buf_;
-    std::size_t pos_ = 0; ///< consumed prefix of buf_
-    bool bad_ = false;
-    std::string bad_why_;
-};
-
 /**
- * Strict one-shot decode for the pipe path: @p blob must hold exactly
- * one well-formed frame with no trailing bytes. Returns false with a
- * diagnostic in @p err on truncation (by length), checksum mismatch,
- * or trailing garbage.
+ * Strict one-shot decode: @p blob must hold exactly one well-formed
+ * frame with no trailing bytes. Returns false with a diagnostic in
+ * @p err on bad magic, oversize length, unknown type, truncation (by
+ * length), checksum mismatch, or trailing garbage.
  */
 bool decodeFrameBlob(const std::string &blob, Frame &out,
                      std::string &err);

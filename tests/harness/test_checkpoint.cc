@@ -4,14 +4,17 @@
  * must be bit-identical to a cold run — per workload kind (NIC-,
  * NVMe-, and CPU-driven), for a fig08-style multi-workload A4 point,
  * and through the fork()-per-point sweep path — measure-window
- * variants must share one image, and corrupt images must fall back
- * to a cold run with identical values.
+ * variants must share one image, corrupt images must fall back to a
+ * cold run with identical values, and the key must name the running
+ * executable.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include <unistd.h>
@@ -20,6 +23,8 @@
 #include "harness/scenarios.hh"
 #include "harness/spec.hh"
 #include "harness/sweep.hh"
+#include "net/frame.hh"
+#include "sim/log.hh"
 
 using namespace a4;
 
@@ -168,6 +173,24 @@ TEST(Checkpoint, MeasureWindowVariantsShareOneImage)
     ASSERT_EQ(dir.images(), 1u);
     EXPECT_EQ(runToBlob(spec, w2), cold2);
     EXPECT_EQ(dir.images(), 1u); // reused, not duplicated
+}
+
+TEST(Checkpoint, KeyCarriesTheExecutableHashAsBuildTag)
+{
+    // The build tag is the FNV-1a-64 of the running executable, so a
+    // rebuilt simulator keys every image differently.
+    std::ifstream in("/proc/self/exe", std::ios::binary);
+    std::ostringstream exe;
+    exe << in.rdbuf();
+    ASSERT_FALSE(exe.str().empty());
+    const std::string want = sformat(
+        "%016llx", static_cast<unsigned long long>(fnv1a64(exe.str())));
+    EXPECT_EQ(buildTag(), want);
+    EXPECT_EQ(buildTag(), buildTag());
+    const std::string key =
+        checkpointKeyText(fig08StyleSpec(), tinyWindows().warmup);
+    EXPECT_NE(key.find("\nbuild = " + want + "\n"), std::string::npos)
+        << key;
 }
 
 TEST(Checkpoint, ForkedSweepWorkersRestoreTheSharedImage)

@@ -1,62 +1,39 @@
 /**
- * Frame codec + protocol message tests: the dispatch layer's claim
- * that a payload is either delivered bit-exactly or rejected loudly
- * rests entirely on this codec, so truncation, corruption, trailing
- * garbage, and incremental delivery are each pinned here.
+ * Frame codec tests: the dispatch layer's claim that a payload is
+ * either delivered bit-exactly or rejected loudly rests entirely on
+ * this codec, so truncation, corruption, unknown types, and trailing
+ * garbage are each pinned here.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "net/frame.hh"
-#include "net/protocol.hh"
-#include "net/socket.hh"
 
 namespace a4
 {
 namespace
 {
 
-/** Set an env var for one test, restoring the old value after. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *key, const char *value) : key_(key)
-    {
-        const char *old = std::getenv(key);
-        had_ = old != nullptr;
-        old_ = old ? old : "";
-        if (value)
-            ::setenv(key, value, 1);
-        else
-            ::unsetenv(key);
-    }
-    ~ScopedEnv()
-    {
-        if (had_)
-            ::setenv(key_.c_str(), old_.c_str(), 1);
-        else
-            ::unsetenv(key_.c_str());
-    }
-
-  private:
-    std::string key_, old_;
-    bool had_ = false;
-};
-
 TEST(Frame, RoundTripsAllTypes)
 {
-    for (FrameType t : {FrameType::Hello, FrameType::Job,
-                        FrameType::Result, FrameType::Heartbeat,
-                        FrameType::Error}) {
-        Frame in{t, 0xDEADBEEFCAFEull, "payload \x01\xFF bytes"};
-        Frame out;
-        std::string err;
-        ASSERT_TRUE(decodeFrameBlob(encodeFrame(in), out, err)) << err;
-        EXPECT_EQ(out.type, in.type);
-        EXPECT_EQ(out.tag, in.tag);
-        EXPECT_EQ(out.payload, in.payload);
+    const Frame in{FrameType::Result, 0xDEADBEEFCAFEull,
+                   "payload \x01\xFF bytes"};
+    Frame out;
+    std::string err;
+    ASSERT_TRUE(decodeFrameBlob(encodeFrame(in), out, err)) << err;
+    EXPECT_EQ(out.type, in.type);
+    EXPECT_EQ(out.tag, in.tag);
+    EXPECT_EQ(out.payload, in.payload);
+
+    // Result is the only type: every other type byte is rejected by
+    // type, ahead of the checksum it would also fail.
+    for (int t = 0; t < 256; ++t) {
+        if (t == int(FrameType::Result))
+            continue;
+        std::string bytes = encodeFrame(in);
+        bytes[4] = char(t);
+        EXPECT_FALSE(decodeFrameBlob(bytes, out, err)) << t;
+        EXPECT_EQ(err, "unknown frame type") << t;
     }
 }
 
@@ -86,7 +63,31 @@ TEST(Frame, RejectsEveryTruncationByLength)
         EXPECT_FALSE(
             decodeFrameBlob(bytes.substr(0, len), out, err))
             << "accepted a " << len << "-byte prefix";
+        // Every prefix — a header cut short or a half-written payload
+        // from a child that died mid-frame — reads as truncation.
+        EXPECT_NE(err.find("truncated"), std::string::npos)
+            << len << ": " << err;
     }
+}
+
+TEST(FrameReader, MidFrameReportsPartialBuffering)
+{
+    // The dispatcher buffers a child's pipe until EOF and decodes the
+    // buffer once: EOF after half a frame is a truncated RESULT, and
+    // the same buffer completed by the missing bytes decodes whole.
+    const std::string bytes =
+        encodeFrame(Frame{FrameType::Result, 1, "payload"});
+    std::string buf = bytes.substr(0, bytes.size() / 2);
+    Frame f;
+    std::string err;
+    EXPECT_FALSE(decodeFrameBlob(buf, f, err));
+    EXPECT_NE(err.find("truncated"), std::string::npos) << err;
+    buf += bytes.substr(bytes.size() / 2);
+    err.clear();
+    ASSERT_TRUE(decodeFrameBlob(buf, f, err)) << err;
+    EXPECT_EQ(f.type, FrameType::Result);
+    EXPECT_EQ(f.tag, 1u);
+    EXPECT_EQ(f.payload, "payload");
 }
 
 TEST(Frame, RejectsEverySingleByteCorruption)
@@ -117,159 +118,15 @@ TEST(Frame, RejectsTrailingBytes)
 
 TEST(Frame, RejectsOversizePayloadLengthWithoutAllocating)
 {
-    // Hand-build a header announcing an absurd length; the reader
-    // must poison the stream at the header, before buffering 256 MiB.
+    // Hand-build a header announcing an absurd length; the decoder
+    // must reject it at the header, not as a short 4 GiB payload.
     std::string bytes = encodeFrame(Frame{FrameType::Result, 1, "x"});
     for (int i = 0; i < 4; ++i)
         bytes[13 + i] = char(0xFF);
-    FrameReader rd;
-    rd.feed(bytes);
     Frame out;
     std::string err;
-    EXPECT_EQ(rd.next(out, err), FrameReader::Status::Bad);
+    EXPECT_FALSE(decodeFrameBlob(bytes, out, err));
     EXPECT_NE(err.find("oversize"), std::string::npos) << err;
-}
-
-TEST(FrameReader, YieldsFramesFromByteByByteDelivery)
-{
-    const std::string stream =
-        encodeFrame(Frame{FrameType::Heartbeat, 0, ""}) +
-        encodeFrame(Frame{FrameType::Result, 42, "the payload"}) +
-        encodeFrame(Frame{FrameType::Error, 43, "why"});
-    FrameReader rd;
-    std::vector<Frame> got;
-    for (char c : stream) {
-        rd.feed(&c, 1);
-        Frame f;
-        std::string err;
-        while (rd.next(f, err) == FrameReader::Status::Ready)
-            got.push_back(f);
-    }
-    ASSERT_EQ(got.size(), 3u);
-    EXPECT_EQ(got[0].type, FrameType::Heartbeat);
-    EXPECT_EQ(got[1].tag, 42u);
-    EXPECT_EQ(got[1].payload, "the payload");
-    EXPECT_EQ(got[2].type, FrameType::Error);
-    EXPECT_FALSE(rd.midFrame());
-}
-
-TEST(FrameReader, MidFrameReportsPartialBuffering)
-{
-    const std::string bytes =
-        encodeFrame(Frame{FrameType::Result, 1, "payload"});
-    FrameReader rd;
-    EXPECT_FALSE(rd.midFrame());
-    rd.feed(bytes.data(), bytes.size() / 2);
-    EXPECT_TRUE(rd.midFrame()); // EOF now = truncated RESULT
-    rd.feed(bytes.data() + bytes.size() / 2,
-            bytes.size() - bytes.size() / 2);
-    Frame f;
-    std::string err;
-    ASSERT_EQ(rd.next(f, err), FrameReader::Status::Ready);
-    EXPECT_FALSE(rd.midFrame());
-}
-
-TEST(FrameReader, StaysPoisonedAfterBadFrame)
-{
-    FrameReader rd;
-    rd.feed("XXXX garbage that is long enough to parse a header!");
-    Frame f;
-    std::string err;
-    EXPECT_EQ(rd.next(f, err), FrameReader::Status::Bad);
-    // Even valid bytes after the poison must not resynchronize: the
-    // dispatcher drops the connection instead of guessing alignment.
-    rd.feed(encodeFrame(Frame{FrameType::Result, 1, "ok"}));
-    EXPECT_EQ(rd.next(f, err), FrameReader::Status::Bad);
-}
-
-TEST(Protocol, HelloRoundTripsAndChecks)
-{
-    Frame f = makeHello("worker");
-    HelloMsg h;
-    std::string err;
-    ASSERT_TRUE(parseHello(f, h, err)) << err;
-    EXPECT_EQ(h.version, kNetProtocolVersion);
-    EXPECT_EQ(h.build, buildTag());
-    EXPECT_EQ(h.role, "worker");
-    EXPECT_TRUE(checkHello(h, "worker", err)) << err;
-    EXPECT_FALSE(checkHello(h, "dispatcher", err));
-}
-
-TEST(Protocol, HelloRejectsBuildSkew)
-{
-    HelloMsg h;
-    std::string err;
-    {
-        ScopedEnv tag("A4_BUILD_TAG", "other-build");
-        Frame f = makeHello("worker");
-        ASSERT_TRUE(parseHello(f, h, err)) << err;
-    }
-    // Parsed under a different tag than we now expect: skew.
-    EXPECT_FALSE(checkHello(h, "worker", err));
-    EXPECT_NE(err.find("skew"), std::string::npos) << err;
-}
-
-TEST(Protocol, HelloRejectsVersionSkew)
-{
-    HelloMsg h;
-    h.version = kNetProtocolVersion + 1;
-    h.build = buildTag();
-    h.role = "worker";
-    std::string err;
-    EXPECT_FALSE(checkHello(h, "worker", err));
-    EXPECT_NE(err.find("version skew"), std::string::npos) << err;
-}
-
-TEST(Protocol, JobRoundTripsEverything)
-{
-    JobMsg in;
-    in.sweep = "fig06_storage_network";
-    in.spec_text = "sweep = x\nbase.scheme = Default\n";
-    in.point = "a/block=4KB/dca-on";
-    in.attempt = 2;
-    in.timeout_s = 1.5;
-    in.env = {{"A4_SEED", "7"}, {"A4_NIC_BURST", "off"}};
-    JobMsg out;
-    std::string err;
-    ASSERT_TRUE(parseJob(makeJob(99, in), out, err)) << err;
-    EXPECT_EQ(out.sweep, in.sweep);
-    EXPECT_EQ(out.spec_text, in.spec_text);
-    EXPECT_EQ(out.point, in.point);
-    EXPECT_EQ(out.attempt, in.attempt);
-    EXPECT_DOUBLE_EQ(out.timeout_s, in.timeout_s);
-    ASSERT_EQ(out.env.size(), 2u);
-    EXPECT_EQ(out.env[0].first, "A4_SEED");
-    EXPECT_EQ(out.env[0].second, "7");
-    EXPECT_EQ(out.env[1].first, "A4_NIC_BURST");
-    EXPECT_EQ(out.env[1].second, "off");
-}
-
-TEST(Protocol, ParseRejectsWrongFrameType)
-{
-    HelloMsg h;
-    JobMsg j;
-    std::string err;
-    EXPECT_FALSE(parseHello(makeHeartbeat(), h, err));
-    EXPECT_FALSE(parseJob(makeHeartbeat(), j, err));
-    EXPECT_FALSE(
-        parseHello(Frame{FrameType::Hello, 0, "not a record"}, h,
-                   err));
-}
-
-TEST(Socket, ParseHostPort)
-{
-    std::string host, err;
-    std::uint16_t port = 0;
-    ASSERT_TRUE(parseHostPort("127.0.0.1:8080", host, port, err));
-    EXPECT_EQ(host, "127.0.0.1");
-    EXPECT_EQ(port, 8080);
-    ASSERT_TRUE(parseHostPort("some.host.name:1", host, port, err));
-    EXPECT_EQ(host, "some.host.name");
-    EXPECT_EQ(port, 1);
-    for (const char *bad : {"nohost", ":80", "host:", "host:0",
-                            "host:99999", "host:abc", ""}) {
-        EXPECT_FALSE(parseHostPort(bad, host, port, err)) << bad;
-    }
 }
 
 TEST(Checksum, Fnv1a64MatchesKnownVectors)

@@ -4,7 +4,7 @@
  * kind (NIC receive -> parse -> NVMe -> NIC transmit): the cross-
  * device request path must satisfy every byte-identity contract at
  * once — NIC burst vs per-packet, NVMe lazy vs per-completion
- * carrier, and `-j1` == `-j4` == two-loopback-worker dispatch — plus
+ * carrier, and `-j1` == `-j4` dispatch — plus
  * the end-to-end service properties the kind exists for.
  *
  * (The cold == checkpoint-restored leg lives in
@@ -15,18 +15,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include <signal.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include "harness/spec.hh"
 #include "harness/sweep.hh"
-#include "harness/worker.hh"
 #include "sim/types.hh"
 
 using namespace a4;
@@ -190,7 +183,7 @@ TEST(StorageServer, EnvSeedShiftsTheWholeRunDeterministically)
 }
 
 // ----------------------------------------------------------------
-// Dispatch byte-identity: -j1 == -j4 == two loopback a4workers
+// Dispatch byte-identity: -j1 == -j4
 
 namespace
 {
@@ -231,47 +224,12 @@ stripWall(const std::string &payload)
     return out.serialize();
 }
 
-/** A forked a4worker serving on an ephemeral loopback port. */
-struct WorkerProc
-{
-    pid_t pid = -1;
-    std::uint16_t port = 0;
-
-    ~WorkerProc()
-    {
-        if (pid <= 0)
-            return;
-        ::kill(pid, SIGKILL);
-        ::waitpid(pid, nullptr, 0);
-    }
-
-    std::string addr() const
-    {
-        return "127.0.0.1:" + std::to_string(port);
-    }
-};
-
-void
-spawnWorker(WorkerProc &w)
-{
-    WorkerOptions opt; // loopback, ephemeral port
-    auto server = std::make_unique<WorkerServer>(opt);
-    w.port = server->port();
-    std::fflush(nullptr);
-    pid_t pid = ::fork();
-    if (pid == 0)
-        server->serveForever(); // never returns
-    w.pid = pid; // parent's listen-fd copy closes with `server`
-}
-
 void
 runSsSweep(const SweepSpec &spec, unsigned jobs,
-           const std::string &workers,
            std::vector<std::string> &out)
 {
     SweepOptions opt;
     opt.jobs = jobs;
-    opt.workers = workers;
     Sweep sw("ss_disp", opt);
     expandSweep(spec, sw);
     sw.run();
@@ -286,15 +244,9 @@ TEST(StorageServer, DispatchLanesAreByteIdentical)
 {
     const SweepSpec spec = parseSweepSpec(kSsSweepText, "ss_disp");
 
-    std::vector<std::string> serial, forked, remote;
-    runSsSweep(spec, 1, "", serial);
+    std::vector<std::string> serial, forked;
+    runSsSweep(spec, 1, serial);
     ASSERT_EQ(serial.size(), 2u);
-    runSsSweep(spec, 4, "", forked);
+    runSsSweep(spec, 4, forked);
     EXPECT_EQ(forked, serial);
-
-    WorkerProc w1, w2;
-    spawnWorker(w1);
-    spawnWorker(w2);
-    runSsSweep(spec, 2, w1.addr() + "," + w2.addr(), remote);
-    EXPECT_EQ(remote, serial);
 }
