@@ -1,11 +1,78 @@
 #include "cache/hierarchy.hh"
 
-#include <algorithm>
+#include <cassert>
+#include <cstring>
+#include <new>
 
 #include "sim/log.hh"
 
 namespace a4
 {
+
+// --- set blocks -----------------------------------------------------------------
+
+void
+CacheSystem::SetBlocks::AlignedFree::operator()(std::byte *p) const
+{
+    ::operator delete[](p, std::align_val_t{64});
+}
+
+void
+CacheSystem::SetBlocks::init(std::size_t sets, unsigned ways)
+{
+    sets_ = sets;
+    ways_ = ways;
+    block_ = (std::size_t(ways) * 10 + 2 + 63) / 64 * 64;
+    const std::size_t bytes = sets * block_;
+    mem_.reset(static_cast<std::byte *>(
+        ::operator new[](bytes, std::align_val_t{64})));
+    std::memset(mem_.get(), 0, bytes);
+}
+
+void
+CacheSystem::SetBlocks::save(Serializer &s) const
+{
+    std::vector<std::uint64_t> ent(sets_ * ways_);
+    std::vector<std::uint16_t> st(sets_ * (ways_ + 1));
+    for (std::size_t b = 0; b < sets_; ++b) {
+        std::copy_n(entries(b), ways_, &ent[b * ways_]);
+        std::copy_n(stamps(b), ways_ + 1, &st[b * (ways_ + 1)]);
+    }
+    s.podVec(ent);
+    s.podVec(st);
+}
+
+void
+CacheSystem::SetBlocks::restore(Deserializer &d)
+{
+    std::vector<std::uint64_t> ent;
+    std::vector<std::uint16_t> st;
+    d.podVec(ent);
+    d.podVec(st);
+    if (ent.size() != sets_ * ways_ || st.size() != sets_ * (ways_ + 1))
+        throw SnapshotError("CacheSystem: geometry mismatch");
+    for (std::size_t b = 0; b < sets_; ++b) {
+        std::copy_n(&ent[b * ways_], ways_, entries(b));
+        std::copy_n(&st[b * (ways_ + 1)], ways_ + 1, stamps(b));
+    }
+}
+
+void
+CacheSystem::renumberStamps(std::uint16_t *st, unsigned ways)
+{
+    // Called when the clock would wrap: renumber the stamps
+    // 0..ways-1 by rank, ties broken by way index. Valid ways hold
+    // distinct stamps, so their order -- all that victim choice
+    // reads -- is kept.
+    std::uint16_t rank[32];
+    for (unsigned w = 0; w < ways; ++w) {
+        rank[w] = 0;
+        for (unsigned v = 0; v < ways; ++v)
+            rank[w] += st[v] < st[w] || (st[v] == st[w] && v < w);
+    }
+    std::copy(rank, rank + ways, st);
+    st[ways] = static_cast<std::uint16_t>(ways - 1);
+}
 
 CacheSystem::CacheSystem(const CacheGeometry &g, const CacheLatencies &l,
                          Dram &dram_, CatController &cat_)
@@ -15,24 +82,20 @@ CacheSystem::CacheSystem(const CacheGeometry &g, const CacheLatencies &l,
         fatal("CacheSystem: DCA + inclusive ways exceed associativity");
     if (cat.numWays() != geom.llc_ways)
         fatal("CacheSystem: CAT way count disagrees with geometry");
+    if (geom.llc_ways == 0 || geom.llc_ways > 32 || geom.mlc_ways == 0 ||
+        geom.mlc_ways > 32)
+        fatal("CacheSystem: LLC and MLC associativity must be 1-32");
+    if (geom.num_cores > kMaxCores)
+        fatal(sformat("CacheSystem: %u cores exceed the %u the LLC "
+                      "entry's MLC-core field holds",
+                      geom.num_cores, kMaxCores));
 
     dca_mask = CatController::makeMask(0, geom.dca_ways - 1);
     inclusive_mask = CatController::makeMask(geom.firstInclusiveWay(),
                                              geom.llc_ways - 1);
 
-    const std::size_t llc_n = std::size_t(geom.llc_sets) * geom.llc_ways;
-    llc_tags.assign(llc_n, 0);
-    llc_lru.assign(llc_n, 0);
-    llc_owner.assign(llc_n, 0);
-    llc_mlc_core.assign(llc_n, 0);
-    llc_tick.assign(geom.llc_sets, 0);
-
-    const std::size_t mlc_n =
-        std::size_t(geom.num_cores) * geom.mlc_sets * geom.mlc_ways;
-    mlc_tags.assign(mlc_n, 0);
-    mlc_lru.assign(mlc_n, 0);
-    mlc_owner.assign(mlc_n, 0);
-    mlc_tick.assign(std::size_t(geom.num_cores) * geom.mlc_sets, 0);
+    llc_.init(geom.llc_sets, geom.llc_ways);
+    mlc_.init(std::size_t(geom.num_cores) * geom.mlc_sets, geom.mlc_ways);
 
     wl_stats.resize(16);
 }
@@ -42,8 +105,9 @@ CacheSystem::touchLlc(unsigned set, unsigned way)
 {
     // LRU: bump the per-set clock. SRRIP: promote to near-immediate
     // re-reference (RRPV 0).
-    llc_lru[llcIdx(set, way)] =
-        geom.replacement == LlcReplacement::Lru ? ++llc_tick[set] : 0;
+    llc_.stamps(set)[way] = geom.replacement == LlcReplacement::Lru
+                                ? nextStamp(llc_, set, geom.llc_ways)
+                                : 0;
 }
 
 void
@@ -52,8 +116,9 @@ CacheSystem::stampInsertLlc(unsigned set, unsigned way)
     // SRRIP inserts at a long re-reference interval (RRPV 2), which
     // is what lets one-shot (bloated) lines age out before reused
     // ones; LRU inserts at MRU.
-    llc_lru[llcIdx(set, way)] =
-        geom.replacement == LlcReplacement::Lru ? ++llc_tick[set] : 2;
+    llc_.stamps(set)[way] = geom.replacement == LlcReplacement::Lru
+                                ? nextStamp(llc_, set, geom.llc_ways)
+                                : 2;
 }
 
 // --- deferred device accesses -----------------------------------------------
@@ -108,14 +173,6 @@ CacheSystem::drainDeferredSlow(Tick now)
 
 // --- counters ----------------------------------------------------------------
 
-WorkloadCounters &
-CacheSystem::wl(WorkloadId id)
-{
-    if (id >= wl_stats.size())
-        wl_stats.resize(std::size_t(id) + 1);
-    return wl_stats[id];
-}
-
 const WorkloadCounters &
 CacheSystem::wlConst(WorkloadId id) const
 {
@@ -127,36 +184,23 @@ CacheSystem::wlConst(WorkloadId id) const
 // --- core-side path -----------------------------------------------------------
 
 AccessResult
-CacheSystem::coreRead(Tick now, CoreId core, Addr addr, WorkloadId wl_id)
-{
-    return coreAccess(now, core, addr, wl_id, false);
-}
-
-AccessResult
-CacheSystem::coreWrite(Tick now, CoreId core, Addr addr, WorkloadId wl_id)
-{
-    return coreAccess(now, core, addr, wl_id, true);
-}
-
-AccessResult
-CacheSystem::coreAccess(Tick now, CoreId core, Addr addr, WorkloadId wl_id,
+CacheSystem::coreAccess(Tick now, CoreId core, Addr line, WorkloadId wl_id,
                         bool is_write)
 {
     drainDeferred(now);
     if (core >= geom.num_cores)
         panic(sformat("core %u out of range", core));
+    assert(line <= kLineMask && "address beyond the 32-bit line field");
 
-    const Addr line = lineOf(addr);
     WorkloadCounters &w = wl(wl_id);
 
     // MLC lookup.
-    const unsigned mset = mlcSetOf(line);
-    if (int mw = mlcFindWay(core, mset, line); mw >= 0) {
-        const std::size_t mi = mlcIdx(core, mset, unsigned(mw));
-        mlc_lru[mi] =
-            ++mlc_tick[std::size_t(core) * geom.mlc_sets + mset];
+    const std::size_t mb = mlcBlockOf(core, line);
+    std::uint64_t *me = mlc_.entries(mb);
+    if (int mw = findWay(me, geom.mlc_ways, line); mw >= 0) {
+        mlc_.stamps(mb)[mw] = nextStamp(mlc_, mb, geom.mlc_ways);
         if (is_write)
-            mlc_tags[mi] |= std::uint64_t(kDirty) << kFlagShift;
+            me[mw] |= std::uint64_t(kDirty) << kFlagShift;
         w.mlc_hit.inc();
         return {HitLevel::MlcHit, lat.mlc_hit_ns};
     }
@@ -164,15 +208,15 @@ CacheSystem::coreAccess(Tick now, CoreId core, Addr addr, WorkloadId wl_id,
 
     // LLC lookup.
     const unsigned set = llcSetOf(line);
+    std::uint64_t *le = llc_.entries(set);
     gstats.llc_lookups.inc();
-    if (int lw = llcFindWay(set, line); lw >= 0) {
-        unsigned way = unsigned(lw);
-        std::size_t li = llcIdx(set, way);
+    if (int lw = findWay(le, geom.llc_ways, line); lw >= 0) {
+        auto way = unsigned(lw);
         w.llc_hit.inc();
         touchLlc(set, way);
 
-        std::uint8_t fl = flagsOf(llc_tags[li]);
-        const WorkloadId owner = llc_owner[li];
+        std::uint8_t fl = flagsOf(le[way]);
+        const WorkloadId owner = ownerOf(le[way]);
 
         if (fl & kIo) {
             // Rule 4: consumption of a DMA-written line transitions it
@@ -181,21 +225,20 @@ CacheSystem::coreAccess(Tick now, CoreId core, Addr addr, WorkloadId wl_id,
             if (way < geom.firstInclusiveWay()) {
                 // Migrate: vacate this slot, re-allocate inside the
                 // inclusive ways (CLOS-independent).
-                llc_tags[li] = 0;
+                le[way] = 0;
                 way = llcAlloc(now, set, line, inclusive_mask, owner,
                                fl, EvictCause::Migration);
-                li = llcIdx(set, way);
                 wl(owner).migrated_inclusive.inc();
             }
-            llc_tags[li] = pack(line, fl | kInMlc);
-            llc_mlc_core[li] = core;
-            mlcInsert(now, core, line, owner, is_write, true);
+            le[way] = pack(line, owner, core, fl | kInMlc);
+            mlcInsert(now, core, mb, line, owner, is_write, true);
         } else {
             // Plain victim-cache hit: move to the MLC, drop the LLC
             // copy (non-inclusive exclusivity for non-I/O data).
             const bool dirty = fl & kDirty;
-            llc_tags[li] = 0;
-            mlcInsert(now, core, line, owner, dirty || is_write, false);
+            le[way] = 0;
+            mlcInsert(now, core, mb, line, owner, dirty || is_write,
+                      false);
         }
         return {HitLevel::LlcHit, lat.llc_hit_ns};
     }
@@ -204,73 +247,46 @@ CacheSystem::coreAccess(Tick now, CoreId core, Addr addr, WorkloadId wl_id,
     w.llc_miss.inc();
     w.mem_read_lines.inc();
     double mem_ns = dram.readLine(now);
-    mlcInsert(now, core, line, wl_id, is_write, false);
+    mlcInsert(now, core, mb, line, wl_id, is_write, false);
     return {HitLevel::Memory, mem_ns};
 }
 
 void
-CacheSystem::mlcInsert(Tick now, CoreId core, Addr line, WorkloadId owner,
-                       bool dirty, bool io)
+CacheSystem::mlcInsert(Tick now, CoreId core, std::size_t mb, Addr line,
+                       WorkloadId owner, bool dirty, bool io)
 {
-    const unsigned set = mlcSetOf(line);
-    const std::size_t base = mlcIdx(core, set, 0);
-    std::uint32_t &tick = mlc_tick[std::size_t(core) * geom.mlc_sets + set];
+    // An invalid way, else the LRU victim.
+    std::uint64_t *me = mlc_.entries(mb);
+    const auto v = unsigned(victimWay<false>(me, mlc_.stamps(mb),
+                                             geom.mlc_ways, ~WayMask(0)));
+    if (me[v] & kValidEntryBit)
+        mlcEvictEntry(now, core, me[v]);
 
-    // Refresh in place if already present (defensive; callers normally
-    // only insert on a confirmed MLC miss).
-    if (int mw = mlcFindWay(core, set, line); mw >= 0) {
-        const std::size_t mi = base + unsigned(mw);
-        std::uint8_t fl = flagsOf(mlc_tags[mi]);
-        fl |= kValid | (dirty ? kDirty : 0) | (io ? kIo : 0);
-        mlc_tags[mi] = pack(line, fl);
-        mlc_lru[mi] = ++tick;
-        return;
-    }
-
-    // Pick an invalid way, else the LRU victim.
-    unsigned victim = 0;
-    bool found_invalid = false;
-    std::uint32_t best = 0;
-    for (unsigned w2 = 0; w2 < geom.mlc_ways; ++w2) {
-        if (!(mlc_tags[base + w2] & kValidEntryBit)) {
-            victim = w2;
-            found_invalid = true;
-            break;
-        }
-        if (w2 == 0 || mlc_lru[base + w2] < best) {
-            best = mlc_lru[base + w2];
-            victim = w2;
-        }
-    }
-    const std::size_t vi = base + victim;
-    if (!found_invalid && (mlc_tags[vi] & kValidEntryBit))
-        mlcEvictEntry(now, core, mlc_tags[vi], mlc_owner[vi]);
-
-    mlc_tags[vi] = pack(line, std::uint8_t(kValid | (dirty ? kDirty : 0) |
-                                           (io ? kIo : 0)));
-    mlc_owner[vi] = owner;
-    mlc_lru[vi] = ++tick;
+    me[v] = pack(line, owner, 0,
+                 std::uint8_t(kValid | (dirty ? kDirty : 0) |
+                              (io ? kIo : 0)));
+    mlc_.stamps(mb)[v] = nextStamp(mlc_, mb, geom.mlc_ways);
 }
 
 void
-CacheSystem::mlcEvictEntry(Tick now, CoreId core, std::uint64_t entry,
-                           WorkloadId owner)
+CacheSystem::mlcEvictEntry(Tick now, CoreId core, std::uint64_t entry)
 {
     const Addr line = lineOfEntry(entry);
     const std::uint8_t fl = flagsOf(entry);
     const bool dirty = fl & kDirty;
     const bool io = fl & kIo;
+    const WorkloadId owner = ownerOf(entry);
 
     // If the LLC still holds the line (LLC-inclusive), the eviction
     // just downgrades it to LLC-exclusive — no new allocation.
     const unsigned set = llcSetOf(line);
-    if (int lw = llcFindWay(set, line); lw >= 0) {
-        const std::size_t li = llcIdx(set, unsigned(lw));
-        std::uint8_t lf = flagsOf(llc_tags[li]);
+    std::uint64_t *le = llc_.entries(set);
+    if (int lw = findWay(le, geom.llc_ways, line); lw >= 0) {
+        std::uint8_t lf = flagsOf(le[lw]);
         lf &= static_cast<std::uint8_t>(~kInMlc);
         if (dirty)
             lf |= kDirty;
-        llc_tags[li] = pack(line, lf);
+        le[lw] = withFlags(le[lw], lf);
         return;
     }
 
@@ -286,9 +302,10 @@ CacheSystem::mlcEvictEntry(Tick now, CoreId core, std::uint64_t entry,
 void
 CacheSystem::invalidateMlc(CoreId core, Addr line)
 {
-    const unsigned set = mlcSetOf(line);
-    if (int mw = mlcFindWay(core, set, line); mw >= 0)
-        mlc_tags[mlcIdx(core, set, unsigned(mw))] = 0;
+    const std::size_t mb = mlcBlockOf(core, line);
+    std::uint64_t *me = mlc_.entries(mb);
+    if (int mw = findWay(me, geom.mlc_ways, line); mw >= 0)
+        me[mw] = 0;
 }
 
 // --- LLC allocation / eviction --------------------------------------------------
@@ -301,55 +318,32 @@ CacheSystem::llcAlloc(Tick now, unsigned set, Addr line, WayMask mask,
     if (mask == 0)
         panic("llcAlloc: empty way mask");
 
-    const std::size_t base = llcIdx(set, 0);
-    int victim = -1;
-
-    if (geom.replacement == LlcReplacement::Lru) {
-        std::uint32_t best = 0;
-        for (unsigned w2 = 0; w2 < geom.llc_ways; ++w2) {
-            if (!(mask & (1u << w2)))
-                continue;
-            if (!(llc_tags[base + w2] & kValidEntryBit)) {
-                victim = static_cast<int>(w2);
-                break;
-            }
-            if (victim < 0 || llc_lru[base + w2] < best) {
-                best = llc_lru[base + w2];
-                victim = static_cast<int>(w2);
-            }
-        }
-    } else {
-        // SRRIP: evict the first way at the distant RRPV (3); if
-        // none, age every candidate and retry (converges in <= 4
-        // rounds with 2-bit RRPVs).
-        for (int round = 0; round < 4 && victim < 0; ++round) {
-            for (unsigned w2 = 0; w2 < geom.llc_ways; ++w2) {
-                if (!(mask & (1u << w2)))
-                    continue;
-                if (!(llc_tags[base + w2] & kValidEntryBit) ||
-                    llc_lru[base + w2] >= 3) {
-                    victim = static_cast<int>(w2);
-                    break;
-                }
-            }
-            if (victim < 0) {
-                for (unsigned w2 = 0; w2 < geom.llc_ways; ++w2) {
-                    if ((mask & (1u << w2)) && llc_lru[base + w2] < 3)
-                        ++llc_lru[base + w2];
-                }
-            }
-        }
-    }
+    std::uint64_t *le = llc_.entries(set);
+    std::uint16_t *st = llc_.stamps(set);
+    const bool srrip = geom.replacement == LlcReplacement::Srrip;
+    const int victim =
+        srrip ? victimWay<true>(le, st, geom.llc_ways, mask)
+              : victimWay<false>(le, st, geom.llc_ways, mask);
     if (victim < 0)
         panic("llcAlloc: mask selected no ways");
-
     const auto w2 = static_cast<unsigned>(victim);
-    if (llc_tags[base + w2] & kValidEntryBit)
-        llcEvictSlot(now, set, w2, cause);
 
-    llc_tags[base + w2] = pack(line, flags | kValid);
-    llc_owner[base + w2] = owner;
-    llc_mlc_core[base + w2] = 0;
+    if (le[w2] & kValidEntryBit) {
+        if (srrip && st[w2] < 3) {
+            // SRRIP found no way at the distant RRPV (3): age every
+            // candidate until the victim's RRPV reaches 3, which is
+            // the net effect of re-scanning after each aging round.
+            const unsigned age = 3u - st[w2];
+            for (unsigned w = 0; w < geom.llc_ways; ++w) {
+                if (mask & (1u << w))
+                    st[w] = static_cast<std::uint16_t>(
+                        std::min(3u, st[w] + age));
+            }
+        }
+        llcEvictSlot(now, set, w2, cause);
+    }
+
+    le[w2] = pack(line, owner, 0, flags | kValid);
     stampInsertLlc(set, w2);
     return w2;
 }
@@ -358,9 +352,9 @@ void
 CacheSystem::llcEvictSlot(Tick now, unsigned set, unsigned way,
                           EvictCause cause)
 {
-    const std::size_t li = llcIdx(set, way);
-    const std::uint8_t fl = flagsOf(llc_tags[li]);
-    WorkloadCounters &ow = wl(llc_owner[li]);
+    std::uint64_t &e = llc_.entries(set)[way];
+    const std::uint8_t fl = flagsOf(e);
+    WorkloadCounters &ow = wl(ownerOf(e));
 
     gstats.llc_evictions.inc();
     if (way < geom.dca_ways)
@@ -381,35 +375,33 @@ CacheSystem::llcEvictSlot(Tick now, unsigned set, unsigned way,
 
     // If an MLC still holds the line it silently becomes MLC-only;
     // the extended directory keeps tracking it (nothing to do here).
-    llc_tags[li] = 0;
+    e = 0;
 }
 
 // --- device-side paths -------------------------------------------------------------
 
 void
-CacheSystem::dmaWriteLine(Tick now, Addr addr, WorkloadId owner,
-                          std::span<const CoreId> consumers,
-                          bool allocating)
+CacheSystem::dmaWrite(Tick now, Addr line, WorkloadId owner,
+                      std::span<const CoreId> consumers, bool allocating)
 {
     drainDeferred(now);
-    const Addr line = lineOf(addr);
+    assert(line <= kLineMask && "address beyond the 32-bit line field");
     WorkloadCounters &w = wl(owner);
     const unsigned set = llcSetOf(line);
+    std::uint64_t *le = llc_.entries(set);
 
     if (allocating) {
         w.dma_lines_written.inc();
-        if (int lw = llcFindWay(set, line); lw >= 0) {
+        if (int lw = findWay(le, geom.llc_ways, line); lw >= 0) {
             // Rule 5: write-update in place, wherever the line lives.
-            const std::size_t li = llcIdx(set, unsigned(lw));
-            std::uint8_t fl = flagsOf(llc_tags[li]);
+            std::uint8_t fl = flagsOf(le[lw]);
             if (fl & kInMlc) {
-                invalidateMlc(llc_mlc_core[li], line);
+                invalidateMlc(mlcCoreOf(le[lw]), line);
                 fl &= static_cast<std::uint8_t>(~kInMlc);
             }
             fl |= kDirty | kIo;
             fl &= static_cast<std::uint8_t>(~kConsumed);
-            llc_tags[li] = pack(line, fl);
-            llc_owner[li] = owner;
+            le[lw] = pack(line, owner, mlcCoreOf(le[lw]), fl);
             touchLlc(set, unsigned(lw));
             w.dma_write_update.inc();
         } else {
@@ -426,11 +418,10 @@ CacheSystem::dmaWriteLine(Tick now, Addr addr, WorkloadId owner,
         w.dma_nonalloc.inc();
         w.mem_write_lines.inc();
         dram.writeLine(now);
-        if (int lw = llcFindWay(set, line); lw >= 0) {
-            const std::size_t li = llcIdx(set, unsigned(lw));
-            if (flagsOf(llc_tags[li]) & kInMlc)
-                invalidateMlc(llc_mlc_core[li], line);
-            llc_tags[li] = 0;
+        if (int lw = findWay(le, geom.llc_ways, line); lw >= 0) {
+            if (flagsOf(le[lw]) & kInMlc)
+                invalidateMlc(mlcCoreOf(le[lw]), line);
+            le[lw] = 0;
         } else {
             for (CoreId c : consumers)
                 invalidateMlc(c, line);
@@ -439,14 +430,14 @@ CacheSystem::dmaWriteLine(Tick now, Addr addr, WorkloadId owner,
 }
 
 bool
-CacheSystem::dmaReadLine(Tick now, Addr addr, WorkloadId owner,
-                         std::span<const CoreId> cores)
+CacheSystem::dmaRead(Tick now, Addr line, WorkloadId owner,
+                     std::span<const CoreId> cores)
 {
     drainDeferred(now);
-    const Addr line = lineOf(addr);
+    assert(line <= kLineMask && "address beyond the 32-bit line field");
     const unsigned set = llcSetOf(line);
 
-    if (int lw = llcFindWay(set, line); lw >= 0) {
+    if (int lw = findWay(llc_.entries(set), geom.llc_ways, line); lw >= 0) {
         touchLlc(set, unsigned(lw));
         return true;
     }
@@ -454,16 +445,13 @@ CacheSystem::dmaReadLine(Tick now, Addr addr, WorkloadId owner,
     // MLC-only data: egress read-allocates a copy in the inclusive
     // ways (rule 9), making the line LLC-inclusive.
     for (CoreId c : cores) {
-        const unsigned mset = mlcSetOf(line);
-        if (int mw = mlcFindWay(c, mset, line); mw >= 0) {
-            const WorkloadId ml_owner =
-                mlc_owner[mlcIdx(c, mset, unsigned(mw))];
-            unsigned nw = llcAlloc(now, set, line, inclusive_mask,
-                                   ml_owner, kValid,
-                                   EvictCause::Capacity);
-            const std::size_t li = llcIdx(set, nw);
-            llc_tags[li] |= std::uint64_t(kInMlc) << kFlagShift;
-            llc_mlc_core[li] = c;
+        const std::uint64_t *me = mlc_.entries(mlcBlockOf(c, line));
+        if (int mw = findWay(me, geom.mlc_ways, line); mw >= 0) {
+            const unsigned nw = llcAlloc(now, set, line, inclusive_mask,
+                                         ownerOf(me[mw]), kValid,
+                                         EvictCause::Capacity);
+            std::uint64_t &e = llc_.entries(set)[nw];
+            e = pack(line, ownerOf(e), c, kValid | kInMlc);
             gstats.egress_inclusive_alloc.inc();
             return true;
         }
@@ -474,24 +462,66 @@ CacheSystem::dmaReadLine(Tick now, Addr addr, WorkloadId owner,
     return false;
 }
 
+// --- line runs ----------------------------------------------------------------------
+
+void
+CacheSystem::dmaWriteRun(Tick now, Addr addr, std::uint64_t lines,
+                         WorkloadId owner,
+                         std::span<const CoreId> consumers, bool allocating)
+{
+    const Addr first = lineOf(addr);
+    auto hint = [&](Addr line) {
+        llc_.prefetch(llcSetOf(line));
+        for (CoreId c : consumers)
+            mlc_.prefetch(mlcBlockOf(c, line));
+    };
+    for (std::uint64_t i = 0; i < std::min(lines, kRunAhead); ++i)
+        hint(first + i);
+    for (std::uint64_t i = 0; i < lines; ++i) {
+        if (i + kRunAhead < lines)
+            hint(first + i + kRunAhead);
+        dmaWrite(now, first + i, owner, consumers, allocating);
+    }
+}
+
+std::uint64_t
+CacheSystem::dmaReadRun(Tick now, Addr addr, std::uint64_t lines,
+                        WorkloadId owner, std::span<const CoreId> cores)
+{
+    const Addr first = lineOf(addr);
+    auto hint = [&](Addr line) {
+        llc_.prefetch(llcSetOf(line));
+        for (CoreId c : cores)
+            mlc_.prefetch(mlcBlockOf(c, line));
+    };
+    for (std::uint64_t i = 0; i < std::min(lines, kRunAhead); ++i)
+        hint(first + i);
+    std::uint64_t served = 0;
+    for (std::uint64_t i = 0; i < lines; ++i) {
+        if (i + kRunAhead < lines)
+            hint(first + i + kRunAhead);
+        served += dmaRead(now, first + i, owner, cores);
+    }
+    return served;
+}
+
 // --- introspection ----------------------------------------------------------------
 
 CacheSystem::Probe
 CacheSystem::probeLlc(Addr addr) const
 {
     const Addr line = lineOf(addr);
-    const unsigned set = llcSetOf(line);
+    const std::uint64_t *le = llc_.entries(llcSetOf(line));
     Probe p;
-    if (int lw = llcFindWay(set, line); lw >= 0) {
-        const std::size_t li = llcIdx(set, unsigned(lw));
-        const std::uint8_t fl = flagsOf(llc_tags[li]);
+    if (int lw = findWay(le, geom.llc_ways, line); lw >= 0) {
+        const std::uint8_t fl = flagsOf(le[lw]);
         p.in_llc = true;
         p.way = unsigned(lw);
         p.dirty = fl & kDirty;
         p.io = fl & kIo;
         p.consumed = fl & kConsumed;
         p.in_mlc_flag = fl & kInMlc;
-        p.owner = llc_owner[li];
+        p.owner = ownerOf(le[lw]);
     }
     return p;
 }
@@ -500,7 +530,8 @@ bool
 CacheSystem::inMlc(CoreId core, Addr addr) const
 {
     const Addr line = lineOf(addr);
-    return mlcFindWay(core, mlcSetOf(line), line) >= 0;
+    return findWay(mlc_.entries(mlcBlockOf(core, line)), geom.mlc_ways,
+                   line) >= 0;
 }
 
 std::size_t
@@ -508,15 +539,15 @@ CacheSystem::auditInvariants() const
 {
     std::size_t violations = 0;
     for (unsigned s = 0; s < geom.llc_sets; ++s) {
-        const std::size_t base = llcIdx(s, 0);
+        const std::uint64_t *le = llc_.entries(s);
         for (unsigned w2 = 0; w2 < geom.llc_ways; ++w2) {
-            const std::uint64_t e = llc_tags[base + w2];
+            const std::uint64_t e = le[w2];
             if (!(e & kValidEntryBit))
                 continue;
             // (a) tag unique within the set.
             for (unsigned v = w2 + 1; v < geom.llc_ways; ++v) {
-                if ((llc_tags[base + v] & kValidEntryBit) &&
-                    lineOfEntry(llc_tags[base + v]) == lineOfEntry(e))
+                if ((le[v] & kValidEntryBit) &&
+                    lineOfEntry(le[v]) == lineOfEntry(e))
                     ++violations;
             }
             if (flagsOf(e) & kInMlc) {
@@ -524,10 +555,10 @@ CacheSystem::auditInvariants() const
                 if (w2 < geom.firstInclusiveWay())
                     ++violations;
                 // (c) the registered MLC copy exists.
-                CoreId c = llc_mlc_core[base + w2];
+                const CoreId c = mlcCoreOf(e);
                 if (c >= geom.num_cores ||
-                    mlcFindWay(c, mlcSetOf(lineOfEntry(e)),
-                               lineOfEntry(e)) < 0)
+                    findWay(mlc_.entries(mlcBlockOf(c, lineOfEntry(e))),
+                            geom.mlc_ways, lineOfEntry(e)) < 0)
                     ++violations;
             }
         }
@@ -540,10 +571,9 @@ CacheSystem::llcWayOccupancy() const
 {
     std::vector<std::uint64_t> occ(geom.llc_ways, 0);
     for (unsigned s = 0; s < geom.llc_sets; ++s) {
-        for (unsigned w2 = 0; w2 < geom.llc_ways; ++w2) {
-            if (llc_tags[llcIdx(s, w2)] & kValidEntryBit)
-                ++occ[w2];
-        }
+        const std::uint64_t *le = llc_.entries(s);
+        for (unsigned w2 = 0; w2 < geom.llc_ways; ++w2)
+            occ[w2] += (le[w2] & kValidEntryBit) != 0;
     }
     return occ;
 }
@@ -553,11 +583,9 @@ CacheSystem::llcWayOccupancyOf(WorkloadId id) const
 {
     std::vector<std::uint64_t> occ(geom.llc_ways, 0);
     for (unsigned s = 0; s < geom.llc_sets; ++s) {
-        for (unsigned w2 = 0; w2 < geom.llc_ways; ++w2) {
-            const std::size_t i = llcIdx(s, w2);
-            if ((llc_tags[i] & kValidEntryBit) && llc_owner[i] == id)
-                ++occ[w2];
-        }
+        const std::uint64_t *le = llc_.entries(s);
+        for (unsigned w2 = 0; w2 < geom.llc_ways; ++w2)
+            occ[w2] += (le[w2] & kValidEntryBit) && ownerOf(le[w2]) == id;
     }
     return occ;
 }
@@ -612,15 +640,8 @@ void
 CacheSystem::saveState(Serializer &s) const
 {
     s.begin("cache");
-    s.podVec(llc_tags);
-    s.podVec(llc_lru);
-    s.podVec(llc_owner);
-    s.podVec(llc_mlc_core);
-    s.podVec(llc_tick);
-    s.podVec(mlc_tags);
-    s.podVec(mlc_lru);
-    s.podVec(mlc_owner);
-    s.podVec(mlc_tick);
+    llc_.save(s);
+    mlc_.save(s);
     s.u64(wl_stats.size());
     for (const WorkloadCounters &c : wl_stats)
         saveCounters(s, c);
@@ -638,25 +659,8 @@ void
 CacheSystem::restoreState(Deserializer &d)
 {
     d.begin("cache");
-    const std::size_t llc_n = llc_tags.size();
-    const std::size_t llc_sets_n = llc_tick.size();
-    const std::size_t mlc_n = mlc_tags.size();
-    const std::size_t mlc_sets_n = mlc_tick.size();
-    d.podVec(llc_tags);
-    d.podVec(llc_lru);
-    d.podVec(llc_owner);
-    d.podVec(llc_mlc_core);
-    d.podVec(llc_tick);
-    d.podVec(mlc_tags);
-    d.podVec(mlc_lru);
-    d.podVec(mlc_owner);
-    d.podVec(mlc_tick);
-    if (llc_tags.size() != llc_n || llc_lru.size() != llc_n ||
-        llc_owner.size() != llc_n || llc_mlc_core.size() != llc_n ||
-        llc_tick.size() != llc_sets_n || mlc_tags.size() != mlc_n ||
-        mlc_lru.size() != mlc_n || mlc_owner.size() != mlc_n ||
-        mlc_tick.size() != mlc_sets_n)
-        throw SnapshotError("CacheSystem: geometry mismatch");
+    llc_.restore(d);
+    mlc_.restore(d);
     wl_stats.resize(d.u64());
     for (WorkloadCounters &c : wl_stats)
         restoreCounters(d, c);

@@ -34,17 +34,28 @@
  *     read memory without allocating.
  * 10. CAT masks constrain only new allocations.
  *
- * Implementation note: tag+flags are packed into a single 64-bit word
- * per way ([6 flag bits][58 address bits]) so a set lookup touches one
- * or two host cache lines; LRU stamps and ownership live in parallel
- * cold arrays. This keeps the simulator fast enough to run the paper's
- * full evaluation sweeps.
+ * Implementation note: each set is one 64 B-aligned host block --
+ * packed u64 way entries, then u16 LRU stamps (SRRIP RRPVs in the LLC
+ * under SRRIP), then a u16 per-set clock -- so a lookup touches the
+ * two (LLC, 11 ways) or three (MLC, 16 ways) host lines of one block
+ * and nothing else. An entry is [6 flag bits][u16 owner][10-bit
+ * mlc_core][32-bit line]. Scans run over every way without an early
+ * exit; a victim is the minimum of a key that reproduces the
+ * first-invalid-else-least-recent tie-break. When a set's clock would
+ * wrap, its stamps are renumbered by rank (ties by way index), which
+ * keeps every comparison and so every decision unchanged. The run
+ * entry points (coreRun, dmaWriteRun, dmaReadRun) walk consecutive
+ * lines and prefetch the blocks upcoming lines will touch; a prefetch
+ * hint reads state only to form an address.
  */
 
 #ifndef A4_CACHE_HIERARCHY_HH
 #define A4_CACHE_HIERARCHY_HH
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -100,12 +111,49 @@ struct AccessResult
 class CacheSystem
 {
   public:
+    /** Upper bound on num_cores: an LLC entry keeps the core of its
+     *  registered MLC copy in a 10-bit field. */
+    static constexpr unsigned kMaxCores = 1024;
+
     CacheSystem(const CacheGeometry &geom, const CacheLatencies &lat,
                 Dram &dram, CatController &cat);
 
     /** @name Core-side accesses (attributed to @p wl). @{ */
-    AccessResult coreRead(Tick now, CoreId core, Addr addr, WorkloadId wl);
-    AccessResult coreWrite(Tick now, CoreId core, Addr addr, WorkloadId wl);
+    AccessResult
+    coreRead(Tick now, CoreId core, Addr addr, WorkloadId wl)
+    {
+        return coreAccess(now, core, lineOf(addr), wl, false);
+    }
+
+    AccessResult
+    coreWrite(Tick now, CoreId core, Addr addr, WorkloadId wl)
+    {
+        return coreAccess(now, core, lineOf(addr), wl, true);
+    }
+
+    /**
+     * Core reads (or writes) of @p lines consecutive lines from
+     * @p addr, all at @p now: the same accesses, in the same order, as
+     * that many coreRead/coreWrite calls. @p on_line(const
+     * AccessResult &) runs after each line, so callers keep their own
+     * accumulation order.
+     */
+    template <typename OnLine>
+    void
+    coreRun(Tick now, CoreId core, Addr addr, std::uint64_t lines,
+            WorkloadId wl, bool is_write, OnLine &&on_line)
+    {
+        const Addr first = lineOf(addr);
+        for (std::uint64_t i = 0; i < std::min(lines, kRunAhead); ++i)
+            prefetchCoreSets(core, first + i);
+        for (std::uint64_t i = 0; i < lines; ++i) {
+            if (i + kRunAhead < lines)
+                prefetchCoreSets(core, first + i + kRunAhead);
+            if (i + kVictimAhead < lines)
+                prefetchMlcVictim(core, first + i + kVictimAhead);
+            on_line(coreAccess(now, core, first + i, wl, is_write));
+        }
+    }
     /** @} */
 
     /**
@@ -117,15 +165,34 @@ class CacheSystem
      *        directory's snoop filtering.
      * @param allocating DDIO allocating flow (true) vs non-allocating.
      */
-    void dmaWriteLine(Tick now, Addr addr, WorkloadId owner,
-                      std::span<const CoreId> consumers, bool allocating);
+    void
+    dmaWriteLine(Tick now, Addr addr, WorkloadId owner,
+                 std::span<const CoreId> consumers, bool allocating)
+    {
+        dmaWrite(now, lineOf(addr), owner, consumers, allocating);
+    }
 
     /**
      * Host-to-device DMA read of one line (egress).
      * @return true if served from the cache hierarchy.
      */
-    bool dmaReadLine(Tick now, Addr addr, WorkloadId owner,
-                     std::span<const CoreId> cores);
+    bool
+    dmaReadLine(Tick now, Addr addr, WorkloadId owner,
+                std::span<const CoreId> cores)
+    {
+        return dmaRead(now, lineOf(addr), owner, cores);
+    }
+
+    /** dmaWriteLine over @p lines consecutive lines from @p addr. */
+    void dmaWriteRun(Tick now, Addr addr, std::uint64_t lines,
+                     WorkloadId owner, std::span<const CoreId> consumers,
+                     bool allocating);
+
+    /** dmaReadLine over @p lines consecutive lines from @p addr.
+     *  @return the number of lines served from the hierarchy. */
+    std::uint64_t dmaReadRun(Tick now, Addr addr, std::uint64_t lines,
+                             WorkloadId owner,
+                             std::span<const CoreId> cores);
 
     /**
      * @name Introspection (tests, analysis, occupancy census).
@@ -194,7 +261,13 @@ class CacheSystem
     /** @} */
 
     /** Per-workload counter bank (auto-grows). */
-    WorkloadCounters &wl(WorkloadId id);
+    WorkloadCounters &
+    wl(WorkloadId id)
+    {
+        if (id >= wl_stats.size()) [[unlikely]]
+            wl_stats.resize(std::size_t(id) + 1);
+        return wl_stats[id];
+    }
     const WorkloadCounters &wlConst(WorkloadId id) const;
 
     GlobalCacheCounters &global() { return gstats; }
@@ -205,9 +278,10 @@ class CacheSystem
 
     /**
      * @name Snapshot hooks.
-     * Tag/LRU/owner arrays go as raw blobs (geometry-checked on
-     * restore); counter banks element-wise. Deferred-source
-     * registration is construction-time wiring and is not saved —
+     * Set blocks go as two compact blobs each -- entries, then stamps
+     * with the per-set clock -- without the host padding (geometry-
+     * checked on restore); counter banks element-wise. Deferred-source
+     * registration is construction-time wiring and is not saved --
      * each source snapshots its own pending accesses, and
      * next_deferred_ carries the earliest-pending hint across.
      * @{
@@ -229,19 +303,91 @@ class CacheSystem
     /** Why a line is being evicted from the LLC (stats attribution). */
     enum class EvictCause { Capacity, Migration, DmaAlloc };
 
-    // --- packed tag entries ---------------------------------------------
-    static constexpr unsigned kFlagShift = 58;
-    static constexpr std::uint64_t kAddrMask =
-        (std::uint64_t(1) << kFlagShift) - 1;
+    /**
+     * Every set of one cache level, each a 64 B-aligned block:
+     * [ways x u64 entry][ways x u16 stamp][u16 clock][pad].
+     */
+    class SetBlocks
+    {
+      public:
+        void init(std::size_t sets, unsigned ways);
+
+        std::uint64_t *
+        entries(std::size_t set)
+        {
+            return reinterpret_cast<std::uint64_t *>(at(set));
+        }
+        const std::uint64_t *
+        entries(std::size_t set) const
+        {
+            return reinterpret_cast<const std::uint64_t *>(at(set));
+        }
+        /** ways_ stamps, then the set's clock at index ways_. */
+        std::uint16_t *
+        stamps(std::size_t set)
+        {
+            return reinterpret_cast<std::uint16_t *>(at(set) +
+                                                     8 * ways_);
+        }
+        const std::uint16_t *
+        stamps(std::size_t set) const
+        {
+            return reinterpret_cast<const std::uint16_t *>(at(set) +
+                                                           8 * ways_);
+        }
+
+        void
+        prefetch(std::size_t set) const
+        {
+            for (std::size_t off = 0; off < block_; off += 64)
+                __builtin_prefetch(at(set) + off);
+        }
+
+        /** Entries, then stamps and clocks, without host padding. */
+        void save(Serializer &s) const;
+        void restore(Deserializer &d);
+
+      private:
+        struct AlignedFree
+        {
+            void operator()(std::byte *p) const;
+        };
+
+        std::byte *at(std::size_t set) const
+        {
+            return mem_.get() + set * block_;
+        }
+
+        std::unique_ptr<std::byte, AlignedFree> mem_;
+        std::size_t sets_ = 0;
+        std::size_t block_ = 0;
+        unsigned ways_ = 0;
+    };
+
+    // --- packed entries: [flags:6][owner:16][mlc_core:10][line:32] ------
+    static constexpr unsigned kCoreShift = kLineFieldBits;
+    static constexpr unsigned kOwnerShift = kCoreShift + 10;
+    static constexpr unsigned kFlagShift = kOwnerShift + 16;
+    static_assert(kFlagShift + 6 == 64);
+    static constexpr std::uint64_t kLineMask =
+        (std::uint64_t(1) << kLineFieldBits) - 1;
     static constexpr std::uint64_t kValidEntryBit =
         std::uint64_t(kValid) << kFlagShift;
-    static constexpr std::uint64_t kMatchMask =
-        kAddrMask | kValidEntryBit;
+    static constexpr std::uint64_t kMatchMask = kLineMask | kValidEntryBit;
 
     static std::uint64_t
-    pack(Addr line, std::uint8_t flags)
+    pack(Addr line, WorkloadId owner, CoreId mlc_core, std::uint8_t flags)
     {
-        return (line & kAddrMask) |
+        return line | (std::uint64_t(mlc_core) << kCoreShift) |
+               (std::uint64_t(owner) << kOwnerShift) |
+               (std::uint64_t(flags) << kFlagShift);
+    }
+
+    /** @p e with its flag bits replaced by @p flags. */
+    static std::uint64_t
+    withFlags(std::uint64_t e, std::uint8_t flags)
+    {
+        return (e & ((std::uint64_t(1) << kFlagShift) - 1)) |
                (std::uint64_t(flags) << kFlagShift);
     }
 
@@ -249,8 +395,15 @@ class CacheSystem
     {
         return static_cast<std::uint8_t>(e >> kFlagShift);
     }
-
-    static Addr lineOfEntry(std::uint64_t e) { return e & kAddrMask; }
+    static Addr lineOfEntry(std::uint64_t e) { return e & kLineMask; }
+    static WorkloadId ownerOf(std::uint64_t e)
+    {
+        return static_cast<WorkloadId>(e >> kOwnerShift);
+    }
+    static CoreId mlcCoreOf(std::uint64_t e)
+    {
+        return static_cast<CoreId>((e >> kCoreShift) & 0x3FF);
+    }
 
     // --- indexing ---------------------------------------------------------
     // Inlined: set hashing + tag scan are the fast path of every
@@ -276,60 +429,115 @@ class CacheSystem
             >> 64);
     }
 
-    unsigned
-    mlcSetOf(Addr line) const
+    /** Block index of @p line's set in @p core's MLC. */
+    std::size_t
+    mlcBlockOf(CoreId core, Addr line) const
     {
-        return static_cast<unsigned>(
+        const auto set = static_cast<unsigned>(
             (static_cast<unsigned __int128>(
                  mix(line ^ 0xA4A4'5EED'0000'0001ull)) *
              geom.mlc_sets) >> 64);
+        return std::size_t(core) * geom.mlc_sets + set;
     }
 
-    /** Way index of @p line in LLC set @p set, or -1. */
-    int
-    llcFindWay(unsigned set, Addr line) const
+    /** Way holding @p line among @p ways entries, or -1. Scans every
+     *  way with a conditional move instead of a data-dependent exit:
+     *  tags are unique within a set, so at most one matches. */
+    static int
+    findWay(const std::uint64_t *e, unsigned ways, Addr line)
     {
-        const std::uint64_t *base = &llc_tags[llcIdx(set, 0)];
-        const std::uint64_t want = (line & kAddrMask) | kValidEntryBit;
-        for (unsigned w = 0; w < geom.llc_ways; ++w) {
-            if ((base[w] & kMatchMask) == want)
-                return static_cast<int>(w);
+        const std::uint64_t want = line | kValidEntryBit;
+        int found = -1;
+        for (unsigned w = 0; w < ways; ++w)
+            found = (e[w] & kMatchMask) == want ? int(w) : found;
+        return found;
+    }
+
+    /**
+     * Replacement victim among the ways in @p mask, or -1 if the mask
+     * selects none: the minimum of a per-way key, which is `w` for an
+     * invalid way (the lowest-indexed invalid way wins) and
+     * `1<<32 | rank<<8 | w` for a valid one (least rank wins, ties by
+     * index). LRU ranks by stamp; SRRIP by distance from RRPV 3, and
+     * a way at RRPV 3 keys like an invalid one (the first way that is
+     * invalid or distant wins).
+     */
+    template <bool Srrip>
+    static int
+    victimWay(const std::uint64_t *e, const std::uint16_t *st,
+              unsigned ways, WayMask mask)
+    {
+        std::uint64_t best = ~std::uint64_t(0);
+        for (unsigned w = 0; w < ways; ++w, mask >>= 1) {
+            std::uint64_t rank = st[w];
+            std::uint64_t ranked = (e[w] >> kFlagShift) & kValid;
+            if constexpr (Srrip) {
+                rank = rank < 3 ? 3 - rank : 0;
+                ranked &= std::uint64_t(rank != 0);
+            }
+            const std::uint64_t key =
+                (((std::uint64_t(1) << 32) | (rank << 8)) & (0 - ranked)) |
+                w;
+            const std::uint64_t out = std::uint64_t(mask & 1u) - 1;
+            best = std::min(best, key | out); // all-ones if out of mask
         }
-        return -1;
+        return best == ~std::uint64_t(0) ? -1 : int(best & 0xFF);
     }
 
-    /** Way index of @p line in core's MLC set, or -1. */
-    int
-    mlcFindWay(CoreId core, unsigned set, Addr line) const
+    /** Next LRU stamp of block @p b (renumbers the set on wrap). */
+    static std::uint16_t
+    nextStamp(SetBlocks &blocks, std::size_t b, unsigned ways)
     {
-        const std::uint64_t *base = &mlc_tags[mlcIdx(core, set, 0)];
-        const std::uint64_t want = (line & kAddrMask) | kValidEntryBit;
-        for (unsigned w = 0; w < geom.mlc_ways; ++w) {
-            if ((base[w] & kMatchMask) == want)
-                return static_cast<int>(w);
-        }
-        return -1;
+        std::uint16_t *st = blocks.stamps(b);
+        if (st[ways] == 0xFFFF) [[unlikely]]
+            renumberStamps(st, ways);
+        return ++st[ways];
+    }
+    /** Rank-renumber @p ways stamps, keeping their order; the clock
+     *  at st[ways] restarts after the highest rank. */
+    static void renumberStamps(std::uint16_t *st, unsigned ways);
+
+    // --- run prefetch hints (read state only to form addresses) ----------
+    // A run prefetches the set blocks of the line kRunAhead places
+    // ahead, and the victim's LLC set for the line kVictimAhead ahead,
+    // whose MLC block the first hint already requested.
+    static constexpr std::uint64_t kRunAhead = 4;
+    static constexpr std::uint64_t kVictimAhead = 2;
+
+    void
+    prefetchCoreSets(CoreId core, Addr line) const
+    {
+        llc_.prefetch(llcSetOf(line));
+        mlc_.prefetch(mlcBlockOf(core, line));
     }
 
-    std::size_t llcIdx(unsigned set, unsigned way) const
+    /** Prefetch the LLC set that @p line's MLC fill would evict into. */
+    void
+    prefetchMlcVictim(CoreId core, Addr line) const
     {
-        return std::size_t(set) * geom.llc_ways + way;
-    }
-
-    std::size_t mlcIdx(CoreId core, unsigned set, unsigned way) const
-    {
-        return (std::size_t(core) * geom.mlc_sets + set) *
-                   geom.mlc_ways + way;
+        const std::size_t mb = mlcBlockOf(core, line);
+        const std::uint64_t *me = mlc_.entries(mb);
+        if (findWay(me, geom.mlc_ways, line) >= 0)
+            return;
+        const int v = victimWay<false>(me, mlc_.stamps(mb), geom.mlc_ways,
+                                       ~WayMask(0));
+        if (me[v] & kValidEntryBit)
+            llc_.prefetch(llcSetOf(lineOfEntry(me[v])));
     }
 
     // --- internal operations ----------------------------------------------
     void drainDeferredSlow(Tick now);
-    AccessResult coreAccess(Tick now, CoreId core, Addr addr,
+    AccessResult coreAccess(Tick now, CoreId core, Addr line,
                             WorkloadId wl_id, bool is_write);
-    void mlcInsert(Tick now, CoreId core, Addr line, WorkloadId owner,
-                   bool dirty, bool io);
-    void mlcEvictEntry(Tick now, CoreId core, std::uint64_t entry,
-                       WorkloadId owner);
+    void dmaWrite(Tick now, Addr line, WorkloadId owner,
+                  std::span<const CoreId> consumers, bool allocating);
+    bool dmaRead(Tick now, Addr line, WorkloadId owner,
+                 std::span<const CoreId> cores);
+    /** Fill @p line into MLC block @p mb (the caller has just seen it
+     *  miss there), evicting the LRU way if the set is full. */
+    void mlcInsert(Tick now, CoreId core, std::size_t mb, Addr line,
+                   WorkloadId owner, bool dirty, bool io);
+    void mlcEvictEntry(Tick now, CoreId core, std::uint64_t entry);
     void invalidateMlc(CoreId core, Addr line);
 
     /**
@@ -352,18 +560,8 @@ class CacheSystem
     WayMask dca_mask;
     WayMask inclusive_mask;
 
-    // LLC state: hot packed tags, cold metadata.
-    std::vector<std::uint64_t> llc_tags;
-    std::vector<std::uint32_t> llc_lru;
-    std::vector<std::uint16_t> llc_owner;
-    std::vector<std::uint16_t> llc_mlc_core;
-    std::vector<std::uint32_t> llc_tick;
-
-    // MLC state, flattened across cores.
-    std::vector<std::uint64_t> mlc_tags;
-    std::vector<std::uint32_t> mlc_lru;
-    std::vector<std::uint16_t> mlc_owner;
-    std::vector<std::uint32_t> mlc_tick;
+    SetBlocks llc_; ///< llc_sets blocks
+    SetBlocks mlc_; ///< num_cores x mlc_sets blocks, core-major
 
     mutable std::vector<WorkloadCounters> wl_stats;
     GlobalCacheCounters gstats;

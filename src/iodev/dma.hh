@@ -40,12 +40,8 @@ class DmaEngine
     write(Tick now, PortId port, Addr addr, std::uint64_t bytes,
           WorkloadId owner, std::span<const CoreId> consumers)
     {
-        const bool allocating = ddio.allocatingWrites(port);
-        const std::uint64_t lines = linesIn(bytes);
-        for (std::uint64_t i = 0; i < lines; ++i) {
-            cache.dmaWriteLine(now, addr + i * kLineBytes, owner,
-                               consumers, allocating);
-        }
+        cache.dmaWriteRun(now, addr, linesIn(bytes), owner, consumers,
+                          ddio.allocatingWrites(port));
         pcie.port(port).ingress_bytes.add(bytes);
     }
 
@@ -54,9 +50,7 @@ class DmaEngine
     read(Tick now, PortId port, Addr addr, std::uint64_t bytes,
          WorkloadId owner, std::span<const CoreId> cores)
     {
-        const std::uint64_t lines = linesIn(bytes);
-        for (std::uint64_t i = 0; i < lines; ++i)
-            cache.dmaReadLine(now, addr + i * kLineBytes, owner, cores);
+        cache.dmaReadRun(now, addr, linesIn(bytes), owner, cores);
         pcie.port(port).egress_bytes.add(bytes);
     }
 

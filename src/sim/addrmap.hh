@@ -41,6 +41,11 @@ class AddressMap
         if (bytes == 0)
             fatal("AddressMap: zero-byte allocation for '" + name + "'");
         constexpr std::uint64_t page = 4096;
+        if (bytes > kAddrSpaceBytes - next)
+            fatal(sformat("AddressMap: allocating %llu bytes for '%s' "
+                          "passes the 2^%u-byte address space",
+                          static_cast<unsigned long long>(bytes),
+                          name.c_str(), kLineFieldBits + kLineShift));
         Addr base = next;
         next += (bytes + page - 1) & ~(page - 1);
         regions_.push_back(Region{name, base, bytes});

@@ -47,6 +47,8 @@ Serializer::tag(std::uint8_t t)
 void
 Serializer::raw(const void *p, std::size_t n)
 {
+    if (n == 0)
+        return; // an empty podVec's data() may be null
     buf_.append(static_cast<const char *>(p), n);
 }
 
@@ -163,6 +165,8 @@ Deserializer::tagByte(std::uint8_t want, const char *what)
 void
 Deserializer::raw(void *p, std::size_t n)
 {
+    if (n == 0)
+        return; // memcpy from or to null is undefined even for n == 0
     need(n);
     std::memcpy(p, buf_.data() + pos_, n);
     pos_ += n;

@@ -46,6 +46,12 @@ inline constexpr std::uint64_t kGiB = 1024 * kMiB;
 inline constexpr unsigned kLineShift = 6;
 inline constexpr unsigned kLineBytes = 1u << kLineShift;
 
+/** Simulated address-space size: the cache model keeps line numbers
+ *  in a 32-bit field, so addresses stay below 2^(32 + kLineShift). */
+inline constexpr unsigned kLineFieldBits = 32;
+inline constexpr std::uint64_t kAddrSpaceBytes =
+    std::uint64_t(1) << (kLineFieldBits + kLineShift);
+
 /** Align @p bytes up to a whole number of cache lines. */
 constexpr std::uint64_t
 linesIn(std::uint64_t bytes)

@@ -45,10 +45,11 @@ DpdkWorkload::processPacket(unsigned q, const Nic::RxPacket &pkt,
         AccessResult r0 = cache.coreRead(eng.now(), core, pkt.buf, id());
         svc += r0.latency_ns;
         const std::uint64_t lines = linesIn(pkt.bytes);
-        for (std::uint64_t l = 1; l < lines; ++l) {
-            AccessResult r = cache.coreRead(
-                eng.now(), core, pkt.buf + l * kLineBytes, id());
-            svc += r.latency_ns / cfg.payload_mlp;
+        if (lines > 1) {
+            cache.coreRun(eng.now(), core, pkt.buf + kLineBytes, lines - 1,
+                          id(), false, [&](const AccessResult &r) {
+                              svc += r.latency_ns / cfg.payload_mlp;
+                          });
         }
     }
 

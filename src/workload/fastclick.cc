@@ -20,11 +20,12 @@ FastclickWorkload::processPacket(unsigned q, const Nic::RxPacket &pkt,
     // Payload processing (touch every line, prefetch-overlapped).
     double proc = cfg.per_packet_cpu_ns;
     const std::uint64_t lines = linesIn(pkt.bytes);
-    for (std::uint64_t l = 1; l < lines; ++l) {
-        AccessResult r = cache.coreRead(eng.now(), core,
-                                        pkt.buf + l * kLineBytes, id());
-        proc += r.latency_ns / cfg.payload_mlp;
-        svc += r.latency_ns / cfg.payload_mlp;
+    if (lines > 1) {
+        cache.coreRun(eng.now(), core, pkt.buf + kLineBytes, lines - 1,
+                      id(), false, [&](const AccessResult &r) {
+                          proc += r.latency_ns / cfg.payload_mlp;
+                          svc += r.latency_ns / cfg.payload_mlp;
+                      });
     }
     processing_.record(proc);
 

@@ -144,11 +144,10 @@ FioWorkload::consumeNext(unsigned job)
     const Addr base = j.buffers[buf].base;
     const std::uint64_t lines = linesIn(cfg.block_bytes);
     double svc = 0.0;
-    for (std::uint64_t l = 0; l < lines; ++l) {
-        AccessResult r = cache.coreRead(eng.now(), j.core,
-                                        base + l * kLineBytes, id());
-        svc += r.latency_ns / cfg.mlp + cfg.regex_ns_per_line;
-    }
+    cache.coreRun(eng.now(), j.core, base, lines, id(), false,
+                  [&](const AccessResult &r) {
+                      svc += r.latency_ns / cfg.mlp + cfg.regex_ns_per_line;
+                  });
     regex_lat.record(svc);
     retire(lines * 6.0, svc, 2.3);
 

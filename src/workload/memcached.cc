@@ -48,14 +48,10 @@ MemcachedWorkload::processPacket(unsigned q, const Nic::RxPacket &pkt,
 
     // Value walk: GET reads (and transmits the response), SET writes.
     const Addr value = value_base + key * value_lines * kLineBytes;
-    for (std::uint64_t l = 0; l < value_lines; ++l) {
-        AccessResult r =
-            is_get ? cache.coreRead(eng.now(), core,
-                                    value + l * kLineBytes, id())
-                   : cache.coreWrite(eng.now(), core,
-                                     value + l * kLineBytes, id());
-        svc += r.latency_ns / mc.mlp;
-    }
+    cache.coreRun(eng.now(), core, value, value_lines, id(), !is_get,
+                  [&](const AccessResult &r) {
+                      svc += r.latency_ns / mc.mlp;
+                  });
     if (is_get)
         nic.tx(value, mc.value_bytes, q);
 

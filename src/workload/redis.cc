@@ -59,16 +59,10 @@ RedisServer::serveBatch()
         svc += rb.latency_ns;
         // Value access: whole record, read or update.
         Addr v = value_base + req.key * cfg.value_bytes;
-        const std::uint64_t lines = linesIn(cfg.value_bytes);
-        for (std::uint64_t l = 0; l < lines; ++l) {
-            AccessResult r =
-                req.is_update
-                    ? cache.coreWrite(eng.now(), core,
-                                      v + l * kLineBytes, id())
-                    : cache.coreRead(eng.now(), core,
-                                     v + l * kLineBytes, id());
-            svc += r.latency_ns / cfg.mlp;
-        }
+        cache.coreRun(eng.now(), core, v, linesIn(cfg.value_bytes), id(),
+                      req.is_update, [&](const AccessResult &r) {
+                          svc += r.latency_ns / cfg.mlp;
+                      });
 
         busy_ns += svc;
         lat_.record(static_cast<double>(eng.now() - req.submit_time) +

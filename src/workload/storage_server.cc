@@ -109,11 +109,10 @@ StorageServerWorkload::processPacket(unsigned q,
     if (is_get && key < mem_keys) {
         // RAM fast path: walk the value lines and transmit.
         const Addr value = value_base + key * block_lines * kLineBytes;
-        for (std::uint64_t l = 0; l < block_lines; ++l) {
-            AccessResult r = cache.coreRead(
-                eng.now(), core, value + l * kLineBytes, id());
-            svc += r.latency_ns / ss.mlp;
-        }
+        cache.coreRun(eng.now(), core, value, block_lines, id(), false,
+                      [&](const AccessResult &r) {
+                          svc += r.latency_ns / ss.mlp;
+                      });
         nic.tx(value, static_cast<unsigned>(ss.block_bytes), q);
         lat_.record(wait_ns + svc + nic.config().wire_latency);
         ops_.inc();
@@ -144,11 +143,10 @@ StorageServerWorkload::processPacket(unsigned q,
 
     if (!is_get) {
         // PUT: stage the block in the slot (the egress DMA source).
-        for (std::uint64_t l = 0; l < block_lines; ++l) {
-            AccessResult r = cache.coreWrite(
-                eng.now(), core, sl.base + l * kLineBytes, id());
-            svc += r.latency_ns / ss.mlp;
-        }
+        cache.coreRun(eng.now(), core, sl.base, block_lines, id(), true,
+                      [&](const AccessResult &r) {
+                          svc += r.latency_ns / ss.mlp;
+                      });
     }
 
     const IoTag tag{is_get ? 0ull : 1ull,
@@ -219,11 +217,10 @@ StorageServerWorkload::consumeNext(unsigned q)
         // Scan the DMA-written block through the MLC before
         // serving it — where the SSD's DCA placement pays off.
         const CoreId core = cores()[q];
-        for (std::uint64_t l = 0; l < block_lines; ++l) {
-            AccessResult r = cache.coreRead(
-                eng.now(), core, sl.base + l * kLineBytes, id());
-            svc += r.latency_ns / ss.mlp;
-        }
+        cache.coreRun(eng.now(), core, sl.base, block_lines, id(), false,
+                      [&](const AccessResult &r) {
+                          svc += r.latency_ns / ss.mlp;
+                      });
     }
     retire(ss.per_op_cpu_ns + (sl.is_get ? block_lines * 2.0 : 0.0),
            svc, 2.3);

@@ -1,0 +1,185 @@
+/**
+ * @file
+ * Seeded cache operation stream shared by the cache property tests and
+ * the differential oracle test.
+ *
+ * Each traffic class owns a disjoint buffer region, as real workloads
+ * do: workload 1 on core 0, workload 2 on the other cores, workload 3
+ * the I/O owner whose buffers core 0 consumes. The base mix draws core
+ * reads and writes, allocating and non-allocating DMA writes and DMA
+ * reads. With `control` on, the stream also reprograms CLOS 1's mask,
+ * moves cores between CLOS 0 and 1 and toggles DDIO per port (DMA
+ * writes go through port 0 or 1 and allocate iff that port's DDIO is
+ * on).
+ */
+
+#ifndef A4_TESTS_ORACLE_OP_STREAM_HH
+#define A4_TESTS_ORACLE_OP_STREAM_HH
+
+#include <cstdio>
+#include <string>
+#include <utility>
+
+#include "rdt/cat.hh"
+#include "sim/rng.hh"
+#include "sim/types.hh"
+
+namespace a4::test
+{
+
+struct CacheOp
+{
+    enum Kind { Read, Write, DmaWrite, DmaRead, SetClosMask, AssignCore,
+                SetDdio };
+
+    Kind kind = Read;
+    Tick now = 0;
+    CoreId core = 0;
+    Addr addr = 0;
+    WorkloadId wl = 0;
+    bool allocating = false; ///< DmaWrite; SetDdio's new state
+    unsigned port = 0;       ///< DmaWrite, SetDdio
+    unsigned clos = 0;       ///< AssignCore
+    WayMask mask = 0;        ///< SetClosMask (CLOS 1)
+
+    std::string
+    str() const
+    {
+        static const char *names[] = {"read", "write", "dma_write",
+                                      "dma_read", "clos1_mask",
+                                      "assign_core", "ddio"};
+        char buf[160];
+        std::snprintf(buf, sizeof(buf),
+                      "t=%llu %s core=%u addr=0x%llx wl=%u alloc=%d "
+                      "port=%u clos=%u mask=0x%x",
+                      static_cast<unsigned long long>(now), names[kind],
+                      core, static_cast<unsigned long long>(addr), wl,
+                      allocating, port, clos, mask);
+        return buf;
+    }
+};
+
+class CacheOpStream
+{
+  public:
+    static constexpr Addr kRegion1 = 0x1000000; ///< workload 1 (core 0)
+    static constexpr Addr kRegion2 = 0x4000000; ///< workload 2
+    static constexpr Addr kRegion3 = 0x8000000; ///< workload 3 (I/O)
+
+    /**
+     * @param cores cores in the geometry (>= 2).
+     * @param lines distinct lines per region.
+     * @param llc_ways ways for the generated CLOS masks.
+     */
+    CacheOpStream(std::uint64_t seed, unsigned cores, unsigned lines,
+                  bool control, unsigned llc_ways = 11)
+        : rng(seed), cores(cores), lines(lines), control(control),
+          llc_ways(llc_ways)
+    {}
+
+    CacheOp
+    next()
+    {
+        CacheOp op;
+        op.now = i++;
+        const Addr off = rng.below(lines) * kLineBytes;
+        const auto kind = rng.below(control ? 9 : 6);
+        switch (kind) {
+          case 0:
+          case 1:
+            op.kind = kind == 0 ? CacheOp::Read : CacheOp::Write;
+            op.addr = kRegion1 + off;
+            op.wl = 1;
+            break;
+          case 2:
+            op.kind = CacheOp::Read;
+            op.core = 1 + CoreId(rng.below(cores - 1));
+            op.addr = kRegion2 + off;
+            op.wl = 2;
+            break;
+          case 3:
+          case 4:
+            op.kind = CacheOp::DmaWrite;
+            op.port = unsigned(kind - 3);
+            op.allocating = ddio[op.port];
+            op.addr = kRegion3 + off;
+            op.wl = 3;
+            break;
+          case 5:
+            op.kind = CacheOp::DmaRead;
+            op.addr = kRegion3 + off;
+            op.wl = 3;
+            break;
+          case 6: {
+            op.kind = CacheOp::SetClosMask;
+            const auto lo = unsigned(rng.below(llc_ways));
+            const auto hi = lo + unsigned(rng.below(llc_ways - lo));
+            op.mask = CatController::makeMask(lo, hi);
+            break;
+          }
+          case 7:
+            op.kind = CacheOp::AssignCore;
+            op.core = CoreId(rng.below(cores));
+            op.clos = unsigned(rng.below(2));
+            break;
+          case 8:
+            op.kind = CacheOp::SetDdio;
+            op.port = unsigned(rng.below(2));
+            op.allocating = ddio[op.port] = !ddio[op.port];
+            break;
+        }
+        return op;
+    }
+
+  private:
+    Rng rng;
+    unsigned cores;
+    unsigned lines;
+    bool control;
+    unsigned llc_ways;
+    Tick i = 0;
+    bool ddio[2] = {true, false};
+};
+
+/**
+ * Apply @p op to @p model (CacheSystem or the reference model: both
+ * offer coreRead/coreWrite/dmaWriteLine/dmaReadLine) and to the CAT it
+ * reads. Core 0 consumes the I/O buffers. Returns (hit level, latency)
+ * for core accesses, (served, 0) for DMA reads, (0, 0) otherwise.
+ */
+template <typename Model>
+std::pair<int, double>
+applyOp(const CacheOp &op, Model &model, CatController &cat)
+{
+    static constexpr CoreId kConsumers[1] = {0};
+    switch (op.kind) {
+      case CacheOp::Read:
+      case CacheOp::Write: {
+        const auto r = op.kind == CacheOp::Read
+                           ? model.coreRead(op.now, op.core, op.addr, op.wl)
+                           : model.coreWrite(op.now, op.core, op.addr,
+                                             op.wl);
+        return {int(r.level), r.latency_ns};
+      }
+      case CacheOp::DmaWrite:
+        model.dmaWriteLine(op.now, op.addr, op.wl, kConsumers,
+                           op.allocating);
+        break;
+      case CacheOp::DmaRead:
+        return {model.dmaReadLine(op.now, op.addr, op.wl, kConsumers),
+                0.0};
+      case CacheOp::SetClosMask:
+        cat.setClosMask(1, op.mask);
+        break;
+      case CacheOp::AssignCore:
+        cat.assignCore(op.core, op.clos);
+        break;
+      case CacheOp::SetDdio:
+        break; // the stream itself routes later DMA writes
+    }
+    return {0, 0.0};
+}
+
+} // namespace a4::test
+
+#endif // A4_TESTS_ORACLE_OP_STREAM_HH

@@ -9,10 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <vector>
 
 #include "cache/hierarchy.hh"
 #include "mem/dram.hh"
 #include "rdt/cat.hh"
+#include "sim/addrmap.hh"
+#include "sim/serialize.hh"
 
 using namespace a4;
 
@@ -358,4 +361,94 @@ TEST(CacheRules, InvariantsHoldAfterMixedTraffic)
         }
     }
     EXPECT_EQ(r.cache.auditInvariants(), 0u);
+}
+
+TEST(CacheBounds, CoreCountMustFitTheMlcCoreField)
+{
+    Dram dram;
+    CacheGeometry g = tinyGeom();
+    g.num_cores = CacheSystem::kMaxCores + 1;
+    CatController wide(11, g.num_cores);
+    EXPECT_THROW(CacheSystem(g, CacheLatencies{}, dram, wide), FatalError);
+
+    g.num_cores = CacheSystem::kMaxCores;
+    CatController most(11, g.num_cores);
+    CacheSystem cache(g, CacheLatencies{}, dram, most);
+    const CoreId last = CoreId(g.num_cores - 1);
+    cache.coreRead(0, last, 0x10000, Rig::kWl);
+    EXPECT_TRUE(cache.inMlc(last, 0x10000));
+    EXPECT_EQ(cache.auditInvariants(), 0u);
+}
+
+TEST(CacheBounds, AddressMapStopsAtTheLineField)
+{
+    AddressMap a;
+    const Addr base = a.alloc(4096, "first");
+    EXPECT_THROW(a.alloc(kAddrSpaceBytes, "too big"), FatalError);
+    // Exactly up to the end of the space is fine; one byte more is not.
+    const Addr rest = kAddrSpaceBytes - (base + 4096);
+    EXPECT_EQ(a.alloc(rest, "rest"), base + 4096);
+    EXPECT_THROW(a.alloc(1, "past"), FatalError);
+}
+
+TEST(CacheBounds, TopLineOfTheSpaceIsDistinct)
+{
+    Rig r;
+    const Addr top = kAddrSpaceBytes - kLineBytes;
+    r.cache.dmaWriteLine(0, top, Rig::kIoWl, Rig::kCore0, true);
+    EXPECT_TRUE(r.cache.probeLlc(top).in_llc);
+    EXPECT_EQ(r.cache.probeLlc(top).owner, Rig::kIoWl);
+    EXPECT_FALSE(r.cache.probeLlc(top - kLineBytes).in_llc);
+    EXPECT_EQ(r.cache.coreRead(1, 0, top, Rig::kWl).level, HitLevel::LlcHit);
+    EXPECT_TRUE(r.cache.inMlc(0, top));
+    EXPECT_EQ(r.cache.auditInvariants(), 0u);
+}
+
+TEST(CacheRuns, RunsMatchLineByLine)
+{
+    // The run entry points must leave exactly the state, counters and
+    // per-line results of the equivalent single-line calls.
+    Rig runs, lines;
+    constexpr std::uint64_t kLines = 37; // not a multiple of the lookahead
+    const Addr io = 0x200020;            // unaligned start
+    const Addr data = 0x400000;
+    std::vector<AccessResult> got, want;
+
+    runs.cache.dmaWriteRun(0, io, kLines, Rig::kIoWl, Rig::kCore0, true);
+    runs.cache.coreRun(1, 0, io, kLines, Rig::kWl, false,
+                       [&](const AccessResult &r) { got.push_back(r); });
+    runs.cache.coreRun(2, 1, data, kLines, Rig::kWl, true,
+                       [&](const AccessResult &r) { got.push_back(r); });
+    const std::uint64_t run_served =
+        runs.cache.dmaReadRun(3, io, 2 * kLines, Rig::kIoWl, Rig::kCore0);
+    runs.cache.dmaWriteRun(4, data, kLines, Rig::kIoWl, Rig::kCore0, false);
+
+    for (std::uint64_t i = 0; i < kLines; ++i)
+        lines.cache.dmaWriteLine(0, io + i * kLineBytes, Rig::kIoWl,
+                                 Rig::kCore0, true);
+    for (std::uint64_t i = 0; i < kLines; ++i)
+        want.push_back(
+            lines.cache.coreRead(1, 0, io + i * kLineBytes, Rig::kWl));
+    for (std::uint64_t i = 0; i < kLines; ++i)
+        want.push_back(
+            lines.cache.coreWrite(2, 1, data + i * kLineBytes, Rig::kWl));
+    std::uint64_t served = 0;
+    for (std::uint64_t i = 0; i < 2 * kLines; ++i)
+        served += lines.cache.dmaReadLine(3, io + i * kLineBytes,
+                                          Rig::kIoWl, Rig::kCore0);
+    EXPECT_EQ(run_served, served);
+    EXPECT_GT(served, 0u);
+    for (std::uint64_t i = 0; i < kLines; ++i)
+        lines.cache.dmaWriteLine(4, data + i * kLineBytes, Rig::kIoWl,
+                                 Rig::kCore0, false);
+
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].level, want[i].level) << "line " << i;
+        EXPECT_EQ(got[i].latency_ns, want[i].latency_ns) << "line " << i;
+    }
+    Serializer a, b;
+    runs.cache.saveState(a);
+    lines.cache.saveState(b);
+    EXPECT_EQ(a.data(), b.data());
 }

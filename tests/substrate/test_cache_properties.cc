@@ -16,13 +16,11 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
-#include <tuple>
 
 #include "cache/hierarchy.hh"
 #include "mem/dram.hh"
+#include "oracle/op_stream.hh"
 #include "rdt/cat.hh"
-#include "sim/rng.hh"
 
 using namespace a4;
 
@@ -58,45 +56,13 @@ class CacheProperty : public ::testing::TestWithParam<PropertyCase>
         cat->assignCore(0, 1); // workload 1 confined
     }
 
-    /**
-     * Drive a random mixed traffic stream. Each traffic class owns a
-     * disjoint buffer region, as real workloads do — ownership
-     * attribution travels with a line, so sharing addresses across
-     * classes would make per-owner placement claims meaningless.
-     */
+    /** Drive the seeded mixed traffic stream (oracle/op_stream.hh). */
     void
     drive(std::uint64_t seed, unsigned ops)
     {
-        Rng rng(seed);
-        const std::array<CoreId, 1> core0 = {0};
-        constexpr Addr kRegion1 = 0x1000000; // workload 1 (core 0)
-        constexpr Addr kRegion2 = 0x4000000; // workload 2 (cores 1-3)
-        constexpr Addr kRegion3 = 0x8000000; // workload 3 (I/O)
-        for (unsigned i = 0; i < ops; ++i) {
-            std::uint64_t off = rng.below(8192) * kLineBytes;
-            switch (rng.below(6)) {
-              case 0:
-                cache->coreRead(i, 0, kRegion1 + off, 1);
-                break;
-              case 1:
-                cache->coreWrite(i, 0, kRegion1 + off, 1);
-                break;
-              case 2:
-                cache->coreRead(i, 1 + CoreId(rng.below(3)),
-                                kRegion2 + off, 2);
-                break;
-              case 3:
-                cache->dmaWriteLine(i, kRegion3 + off, 3, core0, true);
-                break;
-              case 4:
-                cache->dmaWriteLine(i, kRegion3 + off, 3, core0,
-                                    false);
-                break;
-              case 5:
-                cache->dmaReadLine(i, kRegion3 + off, 3, core0);
-                break;
-            }
-        }
+        test::CacheOpStream stream(seed, geom.num_cores, 8192, false);
+        for (unsigned i = 0; i < ops; ++i)
+            test::applyOp(stream.next(), *cache, *cat);
     }
 
     CacheGeometry geom;
