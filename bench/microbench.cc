@@ -9,8 +9,10 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstddef>
 
 #include "cache/hierarchy.hh"
+#include "cache/scan.hh"
 #include "mem/dram.hh"
 #include "rdt/cat.hh"
 #include "sim/engine.hh"
@@ -177,6 +179,35 @@ BM_CoreLineRun(benchmark::State &state)
     state.SetItemsProcessed(std::int64_t(lines));
 }
 BENCHMARK(BM_CoreLineRun)->ArgName("lines")->Arg(64);
+
+static void
+BM_SetScan(benchmark::State &state)
+{
+    // The two scans an MLC miss or an LLC fill runs -- tag match, then
+    // the LRU victim -- over one warm, L1-resident block with every way
+    // valid, so the victim takes the stamp argmin. Each iteration looks
+    // up another way's line and masks that way out of the victim
+    // choice.
+    const auto ways = static_cast<unsigned>(state.range(0));
+    alignas(64) std::byte block[512] = {};
+    auto *e = reinterpret_cast<std::uint64_t *>(block);
+    auto *st = reinterpret_cast<std::uint16_t *>(block + 8 * ways);
+    for (unsigned w = 0; w < ways; ++w) {
+        e[w] = (std::uint64_t(1) << scan::kValidBit) | (0x1000 + 7 * w);
+        st[w] = static_cast<std::uint16_t>(w * 0x9E37u);
+    }
+    unsigned w = 0;
+    for (auto _ : state) {
+        const int found =
+            scan::findWay(e, ways, static_cast<std::uint32_t>(e[w]));
+        const int victim =
+            scan::lruVictim(e, st, ways, ~(WayMask(1) << w));
+        benchmark::DoNotOptimize(found);
+        benchmark::DoNotOptimize(victim);
+        w = w + 1 == ways ? 0 : w + 1;
+    }
+}
+BENCHMARK(BM_SetScan)->ArgName("ways")->Arg(11)->Arg(16);
 
 static void
 BM_EngineScheduleFire(benchmark::State &state)

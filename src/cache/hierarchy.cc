@@ -4,6 +4,7 @@
 #include <cstring>
 #include <new>
 
+#include "cache/scan.hh"
 #include "sim/log.hh"
 
 namespace a4
@@ -22,7 +23,8 @@ CacheSystem::SetBlocks::init(std::size_t sets, unsigned ways)
 {
     sets_ = sets;
     ways_ = ways;
-    block_ = (std::size_t(ways) * 10 + 2 + 63) / 64 * 64;
+    block_ = (std::max(std::size_t(ways) * 10 + 2, scan::scanBytes(ways)) +
+              63) / 64 * 64;
     const std::size_t bytes = sets * block_;
     mem_.reset(static_cast<std::byte *>(
         ::operator new[](bytes, std::align_val_t{64})));
@@ -78,6 +80,10 @@ CacheSystem::CacheSystem(const CacheGeometry &g, const CacheLatencies &l,
                          Dram &dram_, CatController &cat_)
     : geom(g), lat(l), dram(dram_), cat(cat_)
 {
+    static_assert(kLineFieldBits == 32 &&
+                      kValidEntryBit == std::uint64_t(1) << scan::kValidBit,
+                  "the scans read the line from an entry's low 32 bits "
+                  "and the valid flag from bit scan::kValidBit");
     if (geom.dca_ways + geom.inclusive_ways > geom.llc_ways)
         fatal("CacheSystem: DCA + inclusive ways exceed associativity");
     if (cat.numWays() != geom.llc_ways)
@@ -197,7 +203,7 @@ CacheSystem::coreAccess(Tick now, CoreId core, Addr line, WorkloadId wl_id,
     // MLC lookup.
     const std::size_t mb = mlcBlockOf(core, line);
     std::uint64_t *me = mlc_.entries(mb);
-    if (int mw = findWay(me, geom.mlc_ways, line); mw >= 0) {
+    if (int mw = scan::findWay(me, geom.mlc_ways, line); mw >= 0) {
         mlc_.stamps(mb)[mw] = nextStamp(mlc_, mb, geom.mlc_ways);
         if (is_write)
             me[mw] |= std::uint64_t(kDirty) << kFlagShift;
@@ -210,7 +216,7 @@ CacheSystem::coreAccess(Tick now, CoreId core, Addr line, WorkloadId wl_id,
     const unsigned set = llcSetOf(line);
     std::uint64_t *le = llc_.entries(set);
     gstats.llc_lookups.inc();
-    if (int lw = findWay(le, geom.llc_ways, line); lw >= 0) {
+    if (int lw = scan::findWay(le, geom.llc_ways, line); lw >= 0) {
         auto way = unsigned(lw);
         w.llc_hit.inc();
         touchLlc(set, way);
@@ -257,8 +263,8 @@ CacheSystem::mlcInsert(Tick now, CoreId core, std::size_t mb, Addr line,
 {
     // An invalid way, else the LRU victim.
     std::uint64_t *me = mlc_.entries(mb);
-    const auto v = unsigned(victimWay<false>(me, mlc_.stamps(mb),
-                                             geom.mlc_ways, ~WayMask(0)));
+    const auto v = unsigned(
+        scan::lruVictim(me, mlc_.stamps(mb), geom.mlc_ways, ~WayMask(0)));
     if (me[v] & kValidEntryBit)
         mlcEvictEntry(now, core, me[v]);
 
@@ -281,7 +287,7 @@ CacheSystem::mlcEvictEntry(Tick now, CoreId core, std::uint64_t entry)
     // just downgrades it to LLC-exclusive — no new allocation.
     const unsigned set = llcSetOf(line);
     std::uint64_t *le = llc_.entries(set);
-    if (int lw = findWay(le, geom.llc_ways, line); lw >= 0) {
+    if (int lw = scan::findWay(le, geom.llc_ways, line); lw >= 0) {
         std::uint8_t lf = flagsOf(le[lw]);
         lf &= static_cast<std::uint8_t>(~kInMlc);
         if (dirty)
@@ -304,7 +310,7 @@ CacheSystem::invalidateMlc(CoreId core, Addr line)
 {
     const std::size_t mb = mlcBlockOf(core, line);
     std::uint64_t *me = mlc_.entries(mb);
-    if (int mw = findWay(me, geom.mlc_ways, line); mw >= 0)
+    if (int mw = scan::findWay(me, geom.mlc_ways, line); mw >= 0)
         me[mw] = 0;
 }
 
@@ -322,8 +328,8 @@ CacheSystem::llcAlloc(Tick now, unsigned set, Addr line, WayMask mask,
     std::uint16_t *st = llc_.stamps(set);
     const bool srrip = geom.replacement == LlcReplacement::Srrip;
     const int victim =
-        srrip ? victimWay<true>(le, st, geom.llc_ways, mask)
-              : victimWay<false>(le, st, geom.llc_ways, mask);
+        srrip ? scan::srripVictim(le, st, geom.llc_ways, mask)
+              : scan::lruVictim(le, st, geom.llc_ways, mask);
     if (victim < 0)
         panic("llcAlloc: mask selected no ways");
     const auto w2 = static_cast<unsigned>(victim);
@@ -392,7 +398,7 @@ CacheSystem::dmaWrite(Tick now, Addr line, WorkloadId owner,
 
     if (allocating) {
         w.dma_lines_written.inc();
-        if (int lw = findWay(le, geom.llc_ways, line); lw >= 0) {
+        if (int lw = scan::findWay(le, geom.llc_ways, line); lw >= 0) {
             // Rule 5: write-update in place, wherever the line lives.
             std::uint8_t fl = flagsOf(le[lw]);
             if (fl & kInMlc) {
@@ -418,7 +424,7 @@ CacheSystem::dmaWrite(Tick now, Addr line, WorkloadId owner,
         w.dma_nonalloc.inc();
         w.mem_write_lines.inc();
         dram.writeLine(now);
-        if (int lw = findWay(le, geom.llc_ways, line); lw >= 0) {
+        if (int lw = scan::findWay(le, geom.llc_ways, line); lw >= 0) {
             if (flagsOf(le[lw]) & kInMlc)
                 invalidateMlc(mlcCoreOf(le[lw]), line);
             le[lw] = 0;
@@ -437,7 +443,8 @@ CacheSystem::dmaRead(Tick now, Addr line, WorkloadId owner,
     assert(line <= kLineMask && "address beyond the 32-bit line field");
     const unsigned set = llcSetOf(line);
 
-    if (int lw = findWay(llc_.entries(set), geom.llc_ways, line); lw >= 0) {
+    if (int lw = scan::findWay(llc_.entries(set), geom.llc_ways, line);
+        lw >= 0) {
         touchLlc(set, unsigned(lw));
         return true;
     }
@@ -446,7 +453,7 @@ CacheSystem::dmaRead(Tick now, Addr line, WorkloadId owner,
     // ways (rule 9), making the line LLC-inclusive.
     for (CoreId c : cores) {
         const std::uint64_t *me = mlc_.entries(mlcBlockOf(c, line));
-        if (int mw = findWay(me, geom.mlc_ways, line); mw >= 0) {
+        if (int mw = scan::findWay(me, geom.mlc_ways, line); mw >= 0) {
             const unsigned nw = llcAlloc(now, set, line, inclusive_mask,
                                          ownerOf(me[mw]), kValid,
                                          EvictCause::Capacity);
@@ -513,7 +520,7 @@ CacheSystem::probeLlc(Addr addr) const
     const Addr line = lineOf(addr);
     const std::uint64_t *le = llc_.entries(llcSetOf(line));
     Probe p;
-    if (int lw = findWay(le, geom.llc_ways, line); lw >= 0) {
+    if (int lw = scan::findWay(le, geom.llc_ways, line); lw >= 0) {
         const std::uint8_t fl = flagsOf(le[lw]);
         p.in_llc = true;
         p.way = unsigned(lw);
@@ -530,8 +537,8 @@ bool
 CacheSystem::inMlc(CoreId core, Addr addr) const
 {
     const Addr line = lineOf(addr);
-    return findWay(mlc_.entries(mlcBlockOf(core, line)), geom.mlc_ways,
-                   line) >= 0;
+    return scan::findWay(mlc_.entries(mlcBlockOf(core, line)),
+                         geom.mlc_ways, line) >= 0;
 }
 
 std::size_t
@@ -556,9 +563,10 @@ CacheSystem::auditInvariants() const
                     ++violations;
                 // (c) the registered MLC copy exists.
                 const CoreId c = mlcCoreOf(e);
+                const Addr line = lineOfEntry(e);
                 if (c >= geom.num_cores ||
-                    findWay(mlc_.entries(mlcBlockOf(c, lineOfEntry(e))),
-                            geom.mlc_ways, lineOfEntry(e)) < 0)
+                    scan::findWay(mlc_.entries(mlcBlockOf(c, line)),
+                                  geom.mlc_ways, line) < 0)
                     ++violations;
             }
         }

@@ -39,14 +39,18 @@
  * under SRRIP), then a u16 per-set clock -- so a lookup touches the
  * two (LLC, 11 ways) or three (MLC, 16 ways) host lines of one block
  * and nothing else. An entry is [6 flag bits][u16 owner][10-bit
- * mlc_core][32-bit line]. Scans run over every way without an early
- * exit; a victim is the minimum of a key that reproduces the
- * first-invalid-else-least-recent tie-break. When a set's clock would
- * wrap, its stamps are renumbered by rank (ties by way index), which
- * keeps every comparison and so every decision unchanged. The run
+ * mlc_core][32-bit line]. The way scans (cache/scan.hh) are SSE2
+ * bitmask scans: the tag match compares four entries a step into a
+ * match and a valid bitmask, and the LRU victim is the lowest invalid
+ * way in the mask, else a packed-u16 argmin of the stamps (biased for
+ * the signed pminsw; ties to the lowest way). The scans read whole
+ * groups past the last way, so a block is at least scan::scanBytes
+ * long; lanes past the last way are masked off. When a set's clock
+ * would wrap, its stamps are renumbered by rank (ties by way index),
+ * which keeps every comparison and so every decision unchanged. The run
  * entry points (coreRun, dmaWriteRun, dmaReadRun) walk consecutive
  * lines and prefetch the blocks upcoming lines will touch; a prefetch
- * hint reads state only to form an address.
+ * hint only hashes a line into block addresses and reads no state.
  */
 
 #ifndef A4_CACHE_HIERARCHY_HH
@@ -149,8 +153,6 @@ class CacheSystem
         for (std::uint64_t i = 0; i < lines; ++i) {
             if (i + kRunAhead < lines)
                 prefetchCoreSets(core, first + i + kRunAhead);
-            if (i + kVictimAhead < lines)
-                prefetchMlcVictim(core, first + i + kVictimAhead);
             on_line(coreAccess(now, core, first + i, wl, is_write));
         }
     }
@@ -305,7 +307,8 @@ class CacheSystem
 
     /**
      * Every set of one cache level, each a 64 B-aligned block:
-     * [ways x u64 entry][ways x u16 stamp][u16 clock][pad].
+     * [ways x u64 entry][ways x u16 stamp][u16 clock][pad], padded to
+     * at least the scan::scanBytes(ways) the way scans read.
      */
     class SetBlocks
     {
@@ -373,7 +376,6 @@ class CacheSystem
         (std::uint64_t(1) << kLineFieldBits) - 1;
     static constexpr std::uint64_t kValidEntryBit =
         std::uint64_t(kValid) << kFlagShift;
-    static constexpr std::uint64_t kMatchMask = kLineMask | kValidEntryBit;
 
     static std::uint64_t
     pack(Addr line, WorkloadId owner, CoreId mlc_core, std::uint8_t flags)
@@ -440,50 +442,6 @@ class CacheSystem
         return std::size_t(core) * geom.mlc_sets + set;
     }
 
-    /** Way holding @p line among @p ways entries, or -1. Scans every
-     *  way with a conditional move instead of a data-dependent exit:
-     *  tags are unique within a set, so at most one matches. */
-    static int
-    findWay(const std::uint64_t *e, unsigned ways, Addr line)
-    {
-        const std::uint64_t want = line | kValidEntryBit;
-        int found = -1;
-        for (unsigned w = 0; w < ways; ++w)
-            found = (e[w] & kMatchMask) == want ? int(w) : found;
-        return found;
-    }
-
-    /**
-     * Replacement victim among the ways in @p mask, or -1 if the mask
-     * selects none: the minimum of a per-way key, which is `w` for an
-     * invalid way (the lowest-indexed invalid way wins) and
-     * `1<<32 | rank<<8 | w` for a valid one (least rank wins, ties by
-     * index). LRU ranks by stamp; SRRIP by distance from RRPV 3, and
-     * a way at RRPV 3 keys like an invalid one (the first way that is
-     * invalid or distant wins).
-     */
-    template <bool Srrip>
-    static int
-    victimWay(const std::uint64_t *e, const std::uint16_t *st,
-              unsigned ways, WayMask mask)
-    {
-        std::uint64_t best = ~std::uint64_t(0);
-        for (unsigned w = 0; w < ways; ++w, mask >>= 1) {
-            std::uint64_t rank = st[w];
-            std::uint64_t ranked = (e[w] >> kFlagShift) & kValid;
-            if constexpr (Srrip) {
-                rank = rank < 3 ? 3 - rank : 0;
-                ranked &= std::uint64_t(rank != 0);
-            }
-            const std::uint64_t key =
-                (((std::uint64_t(1) << 32) | (rank << 8)) & (0 - ranked)) |
-                w;
-            const std::uint64_t out = std::uint64_t(mask & 1u) - 1;
-            best = std::min(best, key | out); // all-ones if out of mask
-        }
-        return best == ~std::uint64_t(0) ? -1 : int(best & 0xFF);
-    }
-
     /** Next LRU stamp of block @p b (renumbers the set on wrap). */
     static std::uint16_t
     nextStamp(SetBlocks &blocks, std::size_t b, unsigned ways)
@@ -497,32 +455,16 @@ class CacheSystem
      *  at st[ways] restarts after the highest rank. */
     static void renumberStamps(std::uint16_t *st, unsigned ways);
 
-    // --- run prefetch hints (read state only to form addresses) ----------
+    // --- run prefetch hints (hash lines into addresses, read no state) ----
     // A run prefetches the set blocks of the line kRunAhead places
-    // ahead, and the victim's LLC set for the line kVictimAhead ahead,
-    // whose MLC block the first hint already requested.
+    // ahead.
     static constexpr std::uint64_t kRunAhead = 4;
-    static constexpr std::uint64_t kVictimAhead = 2;
 
     void
     prefetchCoreSets(CoreId core, Addr line) const
     {
         llc_.prefetch(llcSetOf(line));
         mlc_.prefetch(mlcBlockOf(core, line));
-    }
-
-    /** Prefetch the LLC set that @p line's MLC fill would evict into. */
-    void
-    prefetchMlcVictim(CoreId core, Addr line) const
-    {
-        const std::size_t mb = mlcBlockOf(core, line);
-        const std::uint64_t *me = mlc_.entries(mb);
-        if (findWay(me, geom.mlc_ways, line) >= 0)
-            return;
-        const int v = victimWay<false>(me, mlc_.stamps(mb), geom.mlc_ways,
-                                       ~WayMask(0));
-        if (me[v] & kValidEntryBit)
-            llc_.prefetch(llcSetOf(lineOfEntry(me[v])));
     }
 
     // --- internal operations ----------------------------------------------

@@ -38,6 +38,20 @@ struct DiffCase
     std::uint64_t seed;
 };
 
+/** gtest's default print of a case is its raw bytes, which start with
+ *  the address of @c name and so differ from build to build (and run
+ *  to run under ASLR); the test list and ctest carry that print in the
+ *  test name. Print the case's values instead. */
+void
+PrintTo(const DiffCase &dc, std::ostream *os)
+{
+    const CacheGeometry &g = dc.geom;
+    *os << "llc " << g.llc_sets << "x" << g.llc_ways << " mlc "
+        << g.mlc_sets << "x" << g.mlc_ways << " "
+        << (g.replacement == LlcReplacement::Lru ? "lru" : "srrip")
+        << " seed " << dc.seed;
+}
+
 CacheGeometry
 tiny(unsigned llc_sets, unsigned mlc_sets, unsigned mlc_ways,
      LlcReplacement policy)
@@ -48,6 +62,16 @@ tiny(unsigned llc_sets, unsigned mlc_sets, unsigned mlc_ways,
     g.mlc_sets = mlc_sets;
     g.mlc_ways = mlc_ways;
     g.replacement = policy;
+    return g;
+}
+
+/** Both levels at @p ways ways: the three- and four-step scans and the
+ *  set-block bound past 16 ways. */
+CacheGeometry
+wide(unsigned ways, LlcReplacement policy)
+{
+    CacheGeometry g = tiny(8, 4, ways, policy);
+    g.llc_ways = ways;
     return g;
 }
 
@@ -207,6 +231,14 @@ INSTANTIATE_TEST_SUITE_P(
         // wraps, so the rank renumbering is exercised.
         DiffCase{"lru_wrap", tiny(1, 1, 2, LlcReplacement::Lru), 48,
                  200000, 1, 17},
+        DiffCase{"lru_19way", wide(19, LlcReplacement::Lru), 512, 40000,
+                 1, 18},
+        DiffCase{"srrip_19way", wide(19, LlcReplacement::Srrip), 512,
+                 40000, 1, 19},
+        DiffCase{"lru_25way", wide(25, LlcReplacement::Lru), 512, 40000,
+                 1, 20},
+        DiffCase{"srrip_25way", wide(25, LlcReplacement::Srrip), 512,
+                 40000, 1, 21},
         DiffCase{"lru_scale4", scale4(LlcReplacement::Lru), 65536, 300000,
                  2048, 15},
         DiffCase{"srrip_scale4", scale4(LlcReplacement::Srrip), 65536,
