@@ -133,14 +133,46 @@ void
 CacheSystem::attachDeferredSource(DeferredIoSource &src)
 {
     deferred_.push_back(&src);
-    noteDeferredTick(src.deferredTick());
+    rebuildDeferred();
 }
 
 void
 CacheSystem::detachDeferredSource(DeferredIoSource &src)
 {
     std::erase(deferred_, &src);
-    // The cached hint may now be stale-low; the next drain resets it.
+    rebuildDeferred();
+}
+
+void
+CacheSystem::rebuildDeferred()
+{
+    const std::size_t n = deferred_.size();
+    deferred_tree_.assign(2 * n, DeferredNode{kNoDeferredIo, 0});
+    for (std::size_t i = 0; i < n; ++i) {
+        deferred_[i]->deferred_index_ = static_cast<std::uint32_t>(i);
+        deferred_tree_[n + i] = DeferredNode{
+            deferred_[i]->deferredTick(), static_cast<std::uint32_t>(i)};
+    }
+    for (std::size_t k = n; k-- > 1;) {
+        deferred_tree_[k] =
+            earlier(deferred_tree_[2 * k], deferred_tree_[2 * k + 1]);
+    }
+    next_deferred_ = n == 0 ? kNoDeferredIo : deferred_tree_[1].tick;
+}
+
+void
+CacheSystem::refreshDeferred(std::uint32_t i, Tick tick)
+{
+    const std::size_t n = deferred_.size();
+    std::size_t k = n + i;
+    if (deferred_tree_[k].tick == tick)
+        return;
+    deferred_tree_[k].tick = tick;
+    for (k >>= 1; k >= 1; k >>= 1) {
+        deferred_tree_[k] =
+            earlier(deferred_tree_[2 * k], deferred_tree_[2 * k + 1]);
+    }
+    next_deferred_ = deferred_tree_[1].tick;
 }
 
 void
@@ -152,28 +184,32 @@ CacheSystem::drainDeferredSlow(Tick now)
     // single merge below.
     if (draining_)
         return;
+    if (deferred_.empty()) {
+        next_deferred_ = kNoDeferredIo; // a restored hint, now moot
+        return;
+    }
     draining_ = true;
     for (;;) {
         // Merge across sources: earliest timestamp wins, attach order
         // breaks ties, so the applied stream is identical no matter
         // which observation (or which source's carrier event)
-        // triggered the drain.
-        DeferredIoSource *best = nullptr;
-        Tick best_tick = kNoDeferredIo;
-        for (DeferredIoSource *s : deferred_) {
-            const Tick t = s->deferredTick();
-            if (t <= now && t < best_tick) {
-                best = s;
-                best_tick = t;
-            }
-        }
-        if (best == nullptr)
+        // triggered the drain. A cached tick is never later than the
+        // source's own, so a winner whose tick still matches is the
+        // true minimum; one that moved (a stopped source) is
+        // refreshed and the merge retried.
+        const DeferredNode top = deferred_tree_[1];
+        if (top.tick > now || top.tick == kNoDeferredIo)
             break;
-        best->applyDeferredAccess();
+        DeferredIoSource &src = *deferred_[top.src];
+        const Tick t = src.deferredTick();
+        if (t == top.tick) {
+            src.applyDeferredAccess();
+            refreshDeferred(top.src, src.deferredTick());
+        } else {
+            refreshDeferred(top.src, t);
+        }
     }
-    next_deferred_ = kNoDeferredIo;
-    for (DeferredIoSource *s : deferred_)
-        next_deferred_ = std::min(next_deferred_, s->deferredTick());
+    next_deferred_ = deferred_tree_[1].tick;
     draining_ = false;
 }
 
@@ -678,7 +714,9 @@ CacheSystem::restoreState(Deserializer &d)
     gstats.dca_evictions.restoreState(d);
     gstats.inclusive_evictions.restoreState(d);
     gstats.egress_inclusive_alloc.restoreState(d);
-    next_deferred_ = d.u64();
+    const Tick saved_next = d.u64();
+    rebuildDeferred();
+    next_deferred_ = std::min(saved_next, next_deferred_);
     d.end("cache");
 }
 

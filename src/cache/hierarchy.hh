@@ -57,6 +57,7 @@
 #define A4_CACHE_HIERARCHY_HH
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -85,6 +86,14 @@ inline constexpr Tick kNoDeferredIo = ~Tick(0);
  * observation barrier that makes batched arrival generation
  * tick-for-tick indistinguishable from per-event scheduling: state is
  * only ever *read* with all logically-earlier accesses applied.
+ *
+ * The cache keeps each source's tick in a tournament tree and only
+ * re-reads it when the source is applied, when a stale tick wins the
+ * merge, or when the source calls CacheSystem::noteDeferredTick().
+ * A tick that rises unannounced (a stop) is caught when it wins; a
+ * tick that falls unannounced would be missed, so a source must call
+ * noteDeferredTick(*this) whenever its tick may decrease ((re)start,
+ * a new pending access, restore).
  */
 class DeferredIoSource
 {
@@ -93,12 +102,17 @@ class DeferredIoSource
 
     /** Timestamp of the earliest pending deferred access, or
      *  kNoDeferredIo when idle. Must be non-decreasing except across
-     *  a restart of the source. */
+     *  a restart of the source, which the source announces through
+     *  CacheSystem::noteDeferredTick(). */
     virtual Tick deferredTick() const = 0;
 
     /** Apply exactly the earliest pending deferred access.
      *  @pre deferredTick() != kNoDeferredIo. */
     virtual void applyDeferredAccess() = 0;
+
+  private:
+    friend class CacheSystem;
+    std::uint32_t deferred_index_ = 0; ///< attach index in the cache
 };
 
 /** Result level of a core access (for tests and latency breakdowns). */
@@ -239,13 +253,14 @@ class CacheSystem
     void attachDeferredSource(DeferredIoSource &src);
     /** Unregister @p src (sources detach on destruction). */
     void detachDeferredSource(DeferredIoSource &src);
-    /** Lower the fast-path "earliest deferred access" hint to @p t
-     *  (sources call this when they (re)start generating). */
+    /** Re-read @p src's deferredTick() into the merge (O(log N));
+     *  sources call this whenever their tick may have decreased. */
     void
-    noteDeferredTick(Tick t)
+    noteDeferredTick(DeferredIoSource &src)
     {
-        if (t < next_deferred_)
-            next_deferred_ = t;
+        assert(src.deferred_index_ < deferred_.size() &&
+               deferred_[src.deferred_index_] == &src);
+        refreshDeferred(src.deferred_index_, src.deferredTick());
     }
     /**
      * Apply all deferred accesses with timestamp <= @p now, merged
@@ -285,7 +300,9 @@ class CacheSystem
      * checked on restore); counter banks element-wise. Deferred-source
      * registration is construction-time wiring and is not saved --
      * each source snapshots its own pending accesses, and
-     * next_deferred_ carries the earliest-pending hint across.
+     * next_deferred_ carries the earliest-pending hint across. Restore
+     * rebuilds the merge tree from the sources and keeps the lower of
+     * the saved hint and the rebuilt root.
      * @{
      */
     void saveState(Serializer &s) const;
@@ -469,6 +486,10 @@ class CacheSystem
 
     // --- internal operations ----------------------------------------------
     void drainDeferredSlow(Tick now);
+    /** Rebuild the merge tree from every source's deferredTick(). */
+    void rebuildDeferred();
+    /** Set source @p i's cached tick to @p tick and replay its path. */
+    void refreshDeferred(std::uint32_t i, Tick tick);
     AccessResult coreAccess(Tick now, CoreId core, Addr line,
                             WorkloadId wl_id, bool is_write);
     void dmaWrite(Tick now, Addr line, WorkloadId owner,
@@ -508,8 +529,27 @@ class CacheSystem
     mutable std::vector<WorkloadCounters> wl_stats;
     GlobalCacheCounters gstats;
 
-    // Deferred-access sources and the cached earliest-pending hint.
+    /** A merge-tree node: the earliest (tick, attach index) below. */
+    struct DeferredNode
+    {
+        Tick tick;
+        std::uint32_t src;
+    };
+
+    /** The merge order: earlier tick, then lower attach index. */
+    static const DeferredNode &
+    earlier(const DeferredNode &a, const DeferredNode &b)
+    {
+        return b.tick < a.tick || (b.tick == a.tick && b.src < a.src) ? b
+                                                                      : a;
+    }
+
+    // Deferred-access sources in attach order, their min-tournament
+    // tree (leaf i at deferred_tree_[n + i], node k the winner of
+    // 2k and 2k + 1, the root at 1; ties to the lower attach index)
+    // and the root's tick as the one-compare fast-path hint.
     std::vector<DeferredIoSource *> deferred_;
+    std::vector<DeferredNode> deferred_tree_;
     Tick next_deferred_ = kNoDeferredIo;
     bool draining_ = false; ///< re-entrancy guard (drains access us)
 };

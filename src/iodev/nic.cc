@@ -102,7 +102,7 @@ Nic::start()
     // RNG draw order as scheduling one initial event per queue.
     for (unsigned q = 0; q < cfg.num_queues; ++q)
         drawNext(q, eng.now());
-    csys.noteDeferredTick(deferredTick());
+    csys.noteDeferredTick(*this);
     if (cfg.burst_interval == 0)
         step_ev.armAt(deferredTick());
     else
@@ -288,11 +288,9 @@ Nic::restoreState(Deserializer &d)
     delivered_pkts.restoreState(d);
     dropped_pkts.restoreState(d);
     tx_pkts.restoreState(d);
-    // Re-prime the cache's earliest-pending hint: the saved
-    // next_deferred_ is restored by the cache itself, but keep ours
-    // coherent in case the hint was already consumed at save time.
-    if (running)
-        csys.noteDeferredTick(deferredTick());
+    // Our tick may have moved either way: refresh our leaf in the
+    // cache's merge (the cache may have rebuilt it before we ran).
+    csys.noteDeferredTick(*this);
     d.end("nic");
 }
 

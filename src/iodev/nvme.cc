@@ -120,7 +120,7 @@ SsdArray::startCommand(Tick now, Command cmd)
         inflight[slot] = std::move(cmd);
     }
     pending_done.push_back(slot);
-    csys.noteDeferredTick(inflight[slot].done_at);
+    csys.noteDeferredTick(*this);
     if (!cfg.lazy_completions && !step_armed) {
         step_ev.armAt(inflight[pending_done.front()].done_at);
         step_armed = true;
@@ -287,8 +287,7 @@ SsdArray::restoreState(Deserializer &d)
     step_ev.restoreQueued(d);
     reads_done.restoreState(d);
     writes_done.restoreState(d);
-    if (!pending_done.empty())
-        csys.noteDeferredTick(deferredTick());
+    csys.noteDeferredTick(*this); // see Nic::restoreState
     d.end("ssd");
 }
 

@@ -22,6 +22,39 @@ Engine::growSlab()
     slot_count += kChunkSlots;
 }
 
+void
+Engine::growFifo(DelayFifo &f)
+{
+    const std::uint32_t cap = f.capacity == 0 ? 16 : 2 * f.capacity;
+    auto ring = std::make_unique<QueuedEvent[]>(cap);
+    for (std::uint32_t i = 0; i < f.size; ++i)
+        ring[i] = f.ring[(f.head + i) & (f.capacity - 1)];
+    f.ring = std::move(ring);
+    f.capacity = cap;
+    f.head = 0;
+}
+
+void
+Engine::refillFront()
+{
+    const unsigned __int128 heap = queue.empty() ? kNoKey : queue.top().key;
+    if (fifo_least_ < heap) {
+        front = fifoPop(fifo_least_i_);
+        fifo_least_ = kNoKey;
+        for (unsigned i = 0; i < kDelayFifos; ++i) {
+            if (fifo_head_[i] < fifo_least_) {
+                fifo_least_ = fifo_head_[i];
+                fifo_least_i_ = i;
+            }
+        }
+    } else if (heap != kNoKey) {
+        front = queue.top();
+        queue.pop();
+    } else {
+        has_front = false;
+    }
+}
+
 Tick
 Engine::checkWhen(Tick when)
 {
@@ -44,14 +77,9 @@ Engine::runUntil(Tick when)
 {
     while (has_front && whenOf(front) <= when) {
         const QueuedEvent ev = front;
-        // Refill the front cache from the heap before running the
-        // callback; anything it schedules re-enters through enqueue().
-        if (!queue.empty()) {
-            front = queue.top();
-            queue.pop();
-        } else {
-            has_front = false;
-        }
+        // Refill the front cache before running the callback;
+        // anything it schedules re-enters through the enqueue paths.
+        refillFront();
         Slot &s = *ev.slot;
         if (s.gen != ev.gen)
             continue; // cancelled or re-initialised since queuing
@@ -118,6 +146,10 @@ Engine::saveBegin(Serializer &s)
         note(front);
     for (const QueuedEvent &ev : Access::container(queue))
         note(ev);
+    for (const DelayFifo &f : fifos_) {
+        for (std::uint32_t i = 0; i < f.size; ++i)
+            note(f.ring[(f.head + i) & (f.capacity - 1)]);
+    }
     for (auto &[slot, keys] : save_index_)
         std::sort(keys.begin(), keys.end());
 

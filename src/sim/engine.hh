@@ -8,11 +8,23 @@
  *
  * Hot-path design: events live in a slab of fixed-size slots (inline
  * callback storage, no per-event heap allocation) carved out of
- * stable chunks, and the priority queue orders slim POD entries whose
- * (tick, sequence) ordering is packed into one 128-bit key so heap
- * sifts cost a single compare. Self-rescheduling actors use
- * Engine::Recurring, which installs its callback once and re-arms the
- * same slot, so steady-state actors never re-construct closures.
+ * stable chunks, and the queue orders slim POD entries whose
+ * (tick, sequence) ordering is packed into one 128-bit key so every
+ * comparison is a single compare. The minimum pending event sits in
+ * a front cache. Every other event waits either in a binary heap or
+ * in one of kDelayFifos delay FIFOs: a relative schedule with delay
+ * d appends the key (now + d, seq), and since now never decreases
+ * and seq always grows, a FIFO that only ever takes one delay is
+ * key-sorted by construction. A FIFO keeps its delay while it holds
+ * events and is re-keyed only when empty; when no FIFO fits, the
+ * event goes to the heap, as do absolute schedules (scheduleAt,
+ * armAt, restored keys) and displaced fronts. Refilling the front
+ * takes the least of the heap top and the FIFO heads, so the pop
+ * order is the one total (tick, seq) order: the FIFOs only make
+ * fixed-period actors (poll loops, batch pumps) O(1) instead of a
+ * heap sift. Self-rescheduling actors use Engine::Recurring, which
+ * installs its callback once and re-arms the same slot, so
+ * steady-state actors never re-construct closures.
  * Slots carry a generation counter: cancelling or re-initialising an
  * event invalidates its queued firings without touching the queue.
  * Actors whose event rate would dominate the queue batch themselves
@@ -23,6 +35,7 @@
 #ifndef A4_SIM_ENGINE_HH
 #define A4_SIM_ENGINE_HH
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -56,7 +69,8 @@ class Engine
     void
     schedule(Tick delay, F &&fn)
     {
-        push(now_ + delay, std::forward<F>(fn));
+        enqueueAfter(makeEvent(now_ + delay, std::forward<F>(fn)),
+                     delay);
     }
 
     /**
@@ -70,7 +84,7 @@ class Engine
     void
     scheduleAt(Tick when, F &&fn)
     {
-        push(checkWhen(when), std::forward<F>(fn));
+        enqueue(makeEvent(checkWhen(when), std::forward<F>(fn)));
     }
 
     /** Run events until the queue is empty or @p when is reached.
@@ -88,7 +102,10 @@ class Engine
     std::size_t
     pending() const
     {
-        return queue.size() + (has_front ? 1 : 0);
+        std::size_t n = queue.size() + (has_front ? 1 : 0);
+        for (const DelayFifo &f : fifos_)
+            n += f.size;
+        return n;
     }
 
     /** Past-dated scheduleAt() occurrences clamped to now(). */
@@ -158,6 +175,8 @@ class Engine
 
   private:
     static constexpr std::uint32_t kChunkSlots = 256;
+    /** Delay FIFOs beside the heap (see the file comment). */
+    static constexpr unsigned kDelayFifos = 8;
 
     /** One slab slot: the callback plus pool bookkeeping. */
     struct Slot
@@ -228,38 +247,136 @@ class Engine
     /** @} */
 
     /**
-     * Enqueue keeping the invariant that `front` holds the minimum
-     * pending event. Self-rescheduling actors almost always schedule
-     * the next-soonest event, so the common case never touches the
-     * heap at all (the "front cache" trick from classic DES kernels).
+     * Keep the invariant that `front` holds the minimum pending event:
+     * if @p ev is the new minimum it becomes the front (a displaced
+     * front goes to the heap) and this returns true. Self-rescheduling
+     * actors often schedule the next-soonest event, so that case
+     * touches no queue at all (the "front cache" trick from classic
+     * DES kernels).
      */
-    void
-    enqueue(const QueuedEvent &ev)
+    bool
+    takeFront(const QueuedEvent &ev)
     {
         if (!has_front) {
             front = ev;
             has_front = true;
-        } else if (ev.key < front.key) {
+            return true;
+        }
+        if (ev.key < front.key) {
             queue.push(front);
             front = ev;
-        } else {
+            return true;
+        }
+        return false;
+    }
+
+    /** Enqueue an absolute schedule: the front, else the heap. */
+    void
+    enqueue(const QueuedEvent &ev)
+    {
+        if (!takeFront(ev))
             queue.push(ev);
+    }
+
+    /**
+     * Enqueue an event scheduled @p delay ticks from now: the front,
+     * else the FIFO of that delay (re-keying an empty FIFO if none
+     * holds it), else the heap.
+     */
+    void
+    enqueueAfter(const QueuedEvent &ev, Tick delay)
+    {
+        if (takeFront(ev))
+            return;
+        unsigned empty = kDelayFifos;
+        for (unsigned i = 0; i < kDelayFifos; ++i) {
+            if (fifo_delay_[i] == delay) {
+                fifoPush(i, ev);
+                return;
+            }
+            if (empty == kDelayFifos && fifo_head_[i] == kNoKey)
+                empty = i;
+        }
+        if (empty == kDelayFifos) {
+            queue.push(ev);
+            return;
+        }
+        fifo_delay_[empty] = delay;
+        fifoPush(empty, ev);
+    }
+
+    /** Append @p ev to FIFO @p i (its key exceeds the tail's). */
+    void
+    fifoPush(unsigned i, const QueuedEvent &ev)
+    {
+        DelayFifo &f = fifos_[i];
+        if (f.size == f.capacity) [[unlikely]]
+            growFifo(f);
+        assert(f.size == 0 ||
+               f.ring[(f.head + f.size - 1) & (f.capacity - 1)].key <
+                   ev.key);
+        f.ring[(f.head + f.size) & (f.capacity - 1)] = ev;
+        if (f.size++ == 0) {
+            fifo_head_[i] = ev.key;
+            if (ev.key < fifo_least_) {
+                fifo_least_ = ev.key;
+                fifo_least_i_ = i;
+            }
         }
     }
 
+    /** Pop the head of non-empty FIFO @p i. */
+    QueuedEvent
+    fifoPop(unsigned i)
+    {
+        DelayFifo &f = fifos_[i];
+        const QueuedEvent ev = f.ring[f.head];
+        f.head = (f.head + 1) & (f.capacity - 1);
+        fifo_head_[i] =
+            --f.size == 0 ? kNoKey : f.ring[f.head].key;
+        return ev;
+    }
+
+    /** Refill the front cache from the least of the heap top and the
+     *  FIFO heads (or clear it when nothing is pending). */
+    void refillFront();
+
     template <typename F>
-    void
-    push(Tick when, F &&fn)
+    QueuedEvent
+    makeEvent(Tick when, F &&fn)
     {
         Slot &s = allocSlot();
         s.cb.emplace(std::forward<F>(fn));
-        enqueue(QueuedEvent{makeKey(when), &s, s.gen});
+        return QueuedEvent{makeKey(when), &s, s.gen};
     }
+
+    static constexpr unsigned __int128 kNoKey = ~(unsigned __int128)0;
+
+    /** A ring buffer of key-sorted events sharing one delay. */
+    struct DelayFifo
+    {
+        std::unique_ptr<QueuedEvent[]> ring;
+        std::uint32_t capacity = 0; ///< zero or a power of two
+        std::uint32_t head = 0;
+        std::uint32_t size = 0;
+    };
+    static void growFifo(DelayFifo &f);
 
     std::priority_queue<QueuedEvent, std::vector<QueuedEvent>, Later>
         queue;
     QueuedEvent front{};      ///< minimum pending event (cache)
     bool has_front = false;
+    DelayFifo fifos_[kDelayFifos];
+    /** Head key of each FIFO (kNoKey when empty). */
+    unsigned __int128 fifo_head_[kDelayFifos] = {
+        kNoKey, kNoKey, kNoKey, kNoKey, kNoKey, kNoKey, kNoKey, kNoKey};
+    /** The least FIFO head (kNoKey when all are empty) and its FIFO,
+     *  so a refill from the heap costs one compare; rescanned after
+     *  each FIFO pop. */
+    unsigned __int128 fifo_least_ = kNoKey;
+    unsigned fifo_least_i_ = 0;
+    /** Delay each FIFO is keyed to (any value while never used). */
+    Tick fifo_delay_[kDelayFifos] = {};
     // Chunked so slot addresses stay stable while callbacks run
     // (a firing callback may grow the slab by scheduling).
     std::vector<std::unique_ptr<Slot[]>> chunks;
@@ -337,7 +454,13 @@ class Engine::Recurring
     bool initialized() const { return slot_ != nullptr; }
 
     /** Queue the next firing @p delay ticks from now. */
-    void arm(Tick delay) { armAt(eng_->now_ + delay); }
+    void
+    arm(Tick delay)
+    {
+        eng_->enqueueAfter(QueuedEvent{eng_->makeKey(eng_->now_ + delay),
+                                       slot_, slot_->gen},
+                           delay);
+    }
 
     /** Queue the next firing at absolute tick @p when. */
     void

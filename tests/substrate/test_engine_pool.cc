@@ -12,6 +12,8 @@
 
 #include <chrono>
 #include <functional>
+#include <iterator>
+#include <memory>
 #include <queue>
 #include <vector>
 
@@ -341,6 +343,161 @@ TEST(EngineEquivalence, RecurringMatchesOneShotSelfScheduling)
         return trace;
     };
     EXPECT_EQ(viaOneShot(), viaRecurring());
+}
+
+// --- delay FIFOs beside the heap --------------------------------------------
+
+namespace
+{
+
+/** Distinct delays the mix below draws from: more than the engine's
+ *  eight delay FIFOs, with a zero delay and long ones that keep
+ *  their FIFOs (or the heap) occupied for many firings. */
+constexpr Tick kMixDelays[] = {0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144};
+
+/** Actors on the real engine: one Recurring each; cancel and reset
+ *  act on the engine's slot generations. */
+class EngineActors
+{
+  public:
+    template <typename F>
+    EngineActors(unsigned n, F on_fire) : on_fire_(on_fire), evs_(n)
+    {
+        for (unsigned a = 0; a < n; ++a)
+            install(a);
+    }
+
+    Tick now() const { return eng_.now(); }
+    void after(unsigned a, Tick d) { evs_[a].arm(d); }
+    void at(unsigned a, Tick when) { evs_[a].armAt(when); }
+    void cancel(unsigned a) { evs_[a].cancel(); }
+    void
+    reset(unsigned a)
+    {
+        evs_[a].reset();
+        install(a);
+    }
+    template <typename F>
+    void oneShot(Tick d, F fn) { eng_.schedule(d, fn); }
+    template <typename F>
+    void oneShotAt(Tick when, F fn) { eng_.scheduleAt(when, fn); }
+    void runUntil(Tick t) { eng_.runUntil(t); }
+
+  private:
+    void
+    install(unsigned a)
+    {
+        evs_[a].init(eng_, [this, a] { on_fire_(a); });
+    }
+
+    Engine eng_;
+    std::function<void(unsigned)> on_fire_;
+    std::vector<Engine::Recurring> evs_;
+};
+
+/** The same actors on ReferenceEngine: an epoch per actor stands in
+ *  for the slot generation, so cancel and reset drop every firing
+ *  queued before them. */
+class ReferenceActors
+{
+  public:
+    template <typename F>
+    ReferenceActors(unsigned n, F on_fire) : on_fire_(on_fire), epoch_(n)
+    {}
+
+    Tick now() const { return ref_.now(); }
+    void after(unsigned a, Tick d) { at(a, ref_.now() + d); }
+    void
+    at(unsigned a, Tick when)
+    {
+        ref_.scheduleAt(when, [this, a, e = epoch_[a]] {
+            if (epoch_[a] == e)
+                on_fire_(a);
+        });
+    }
+    void cancel(unsigned a) { ++epoch_[a]; }
+    void reset(unsigned a) { ++epoch_[a]; }
+    template <typename F>
+    void oneShot(Tick d, F fn) { ref_.schedule(d, fn); }
+    template <typename F>
+    void oneShotAt(Tick when, F fn) { ref_.scheduleAt(when, fn); }
+    void runUntil(Tick t) { ref_.runUntil(t); }
+
+  private:
+    ReferenceEngine ref_;
+    std::function<void(unsigned)> on_fire_;
+    std::vector<std::uint64_t> epoch_;
+};
+
+/**
+ * Drive recurring actors through either engine with relative re-arms
+ * over kMixDelays (so more delays are live than there are FIFOs, and
+ * emptied FIFOs get re-keyed), absolute re-arms and one-shots landing
+ * on the same ticks as relative ones, and cancel/reset of other
+ * actors; every firing appends (actor, tick).
+ */
+template <typename Actors>
+std::vector<std::pair<int, Tick>>
+traceDelayMix(unsigned actors, Tick horizon)
+{
+    std::vector<std::pair<int, Tick>> trace;
+    Rng rng(0xF1F0);
+    std::unique_ptr<Actors> act;
+    auto pickDelay = [&] {
+        return kMixDelays[rng.below(std::size(kMixDelays))];
+    };
+    auto on_fire = [&](unsigned a) {
+        trace.emplace_back(int(a), act->now());
+        const std::uint64_t roll = rng.below(100);
+        const unsigned other = unsigned(rng.below(actors));
+        if (roll < 10) {
+            // Absolute re-arm onto a tick a relative schedule may
+            // also hit: the heap and a FIFO tie on tick, seq decides.
+            act->at(a, act->now() + pickDelay());
+        } else if (roll < 20 && other != a) {
+            act->cancel(other);
+            act->after(other, pickDelay());
+            act->after(a, pickDelay());
+        } else if (roll < 25 && other != a) {
+            act->reset(other);
+            act->after(other, pickDelay());
+            act->after(a, pickDelay());
+        } else if (roll < 35) {
+            const Tick d = pickDelay();
+            act->oneShot(d, [&trace, &act, a] {
+                trace.emplace_back(1000 + int(a), act->now());
+            });
+            act->oneShotAt(act->now() + d, [&trace, &act, a] {
+                trace.emplace_back(2000 + int(a), act->now());
+            });
+            act->after(a, d);
+        } else {
+            act->after(a, pickDelay());
+        }
+    };
+    act = std::make_unique<Actors>(actors, on_fire);
+    for (unsigned a = 0; a < actors; ++a)
+        act->after(a, kMixDelays[a % std::size(kMixDelays)]);
+    act->runUntil(horizon);
+    return trace;
+}
+
+} // namespace
+
+TEST(EngineEquivalence, DelayFifosKeepReferenceOrder)
+{
+    // Sixteen actors over twelve delays keep more delays live than
+    // the engine has FIFOs, so events fall back to the heap and
+    // emptied FIFOs are re-keyed; zero delays, same-tick absolute
+    // schedules, cancels and resets exercise every tie path.
+    const auto a = traceDelayMix<EngineActors>(16, 20000);
+    const auto b = traceDelayMix<ReferenceActors>(16, 20000);
+    ASSERT_GT(a.size(), 5000u);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(a[i].first, b[i].first) << "at event " << i;
+        ASSERT_EQ(a[i].second, b[i].second) << "at event " << i;
+    }
 }
 
 // --- throughput smoke -----------------------------------------------------
