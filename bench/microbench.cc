@@ -107,6 +107,37 @@ BM_DmaWriteAllocate(benchmark::State &state)
 BENCHMARK(BM_DmaWriteAllocate);
 
 static void
+BM_DmaWriteAllocateFleet(benchmark::State &state)
+{
+    // DMA allocation at fleet geometry: 80 cores at scale 4, so the
+    // MLC set blocks alone outgrow a host L2. 64 streams, each with
+    // its own consumer core, are written round robin a line at a time
+    // into 1 MiB rings; every write probes its consumer's MLC for a
+    // stale copy, so the probes spread over every core's blocks.
+    CacheGeometry g;
+    g.num_cores = 80;
+    g = g.scaled(4);
+    Dram dram;
+    CatController cat(g.llc_ways, g.num_cores);
+    CacheSystem cache(g, CacheLatencies{}, dram, cat);
+    constexpr unsigned kStreams = 64;
+    constexpr std::uint64_t kRingLines = kMiB / kLineBytes;
+    constexpr Addr kBase = 0x10000000;
+    std::uint64_t line = 0;
+    unsigned s = 0;
+    for (auto _ : state) {
+        const CoreId consumer[1] = {static_cast<CoreId>(1 + s)};
+        cache.dmaWriteLine(0, kBase + (s * kRingLines + line) * kLineBytes,
+                           static_cast<WorkloadId>(1 + s), consumer, true);
+        if (++s == kStreams) {
+            s = 0;
+            line = line + 1 == kRingLines ? 0 : line + 1;
+        }
+    }
+}
+BENCHMARK(BM_DmaWriteAllocateFleet);
+
+static void
 BM_DmaWriteUpdate(benchmark::State &state)
 {
     Rig r;
@@ -185,27 +216,28 @@ BENCHMARK(BM_CoreLineRun)->ArgName("lines")->Arg(64);
 static void
 BM_SetScan(benchmark::State &state)
 {
-    // The two scans an MLC miss or an LLC fill runs -- tag match, then
-    // the LRU victim -- over one warm, L1-resident block with every way
-    // valid, so the victim takes the stamp argmin. Each iteration looks
-    // up another way's line and masks that way out of the victim
-    // choice.
+    // The kernels an LLC fill runs -- tag match, LRU victim, then the
+    // rank touch of the filled way -- over one warm, L1-resident block
+    // with every way valid, so the victim takes the rank argmin. Each
+    // iteration looks up another way's line and masks that way out of
+    // the victim choice.
     const auto ways = static_cast<unsigned>(state.range(0));
-    alignas(64) std::byte block[512] = {};
-    auto *e = reinterpret_cast<std::uint64_t *>(block);
-    auto *st = reinterpret_cast<std::uint16_t *>(block + 8 * ways);
+    alignas(64) std::uint32_t tags[32] = {};
+    alignas(64) std::uint8_t ranks[32] = {};
     for (unsigned w = 0; w < ways; ++w) {
-        e[w] = (std::uint64_t(1) << scan::kValidBit) | (0x1000 + 7 * w);
-        st[w] = static_cast<std::uint16_t>(w * 0x9E37u);
+        tags[w] = 0x1000 + 7 * w;
+        ranks[w] = static_cast<std::uint8_t>(w);
     }
+    for (unsigned w = 0; w < ways; w += 3)
+        scan::rankTouch(ranks, ways, w);
     unsigned w = 0;
     for (auto _ : state) {
-        const int found =
-            scan::findWay(e, ways, static_cast<std::uint32_t>(e[w]));
+        const int found = scan::findWay(tags, ways, tags[w]);
         const int victim =
-            scan::lruVictim(e, st, ways, ~(WayMask(1) << w));
+            scan::lruVictim(tags, ranks, ways, ~(WayMask(1) << w));
+        scan::rankTouch(ranks, ways, static_cast<unsigned>(victim));
         benchmark::DoNotOptimize(found);
-        benchmark::DoNotOptimize(victim);
+        benchmark::DoNotOptimize(ranks);
         w = w + 1 == ways ? 0 : w + 1;
     }
 }

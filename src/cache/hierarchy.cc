@@ -19,71 +19,85 @@ CacheSystem::SetBlocks::AlignedFree::operator()(std::byte *p) const
 }
 
 void
-CacheSystem::SetBlocks::init(std::size_t sets, unsigned ways)
+CacheSystem::SetBlocks::init(std::size_t sets, unsigned ways,
+                             bool with_cores, bool lru)
 {
     sets_ = sets;
     ways_ = ways;
-    block_ = (std::max(std::size_t(ways) * 10 + 2, scan::scanBytes(ways)) +
-              63) / 64 * 64;
+    with_cores_ = with_cores;
+    rank_off_ = scan::tagBytes(ways);
+    flag_off_ = rank_off_ + scan::rankBytes(ways);
+    owner_off_ = flag_off_ + (ways + 1) / 2 * 2;
+    core_off_ = owner_off_ + 2 * std::size_t(ways);
+    block_ = (core_off_ + (with_cores ? 2 * std::size_t(ways) : 0) + 63) /
+             64 * 64;
     const std::size_t bytes = sets * block_;
     mem_.reset(static_cast<std::byte *>(
         ::operator new[](bytes, std::align_val_t{64})));
     std::memset(mem_.get(), 0, bytes);
+    if (!lru)
+        return;
+    // One 16 B store per rank group; lanes past the last way are
+    // never read as ranks.
+    for (std::size_t b = 0; b < sets; ++b) {
+        for (unsigned g = 0; 16 * g < ways; ++g) {
+            _mm_storeu_si128(
+                reinterpret_cast<__m128i *>(ranks(b) + 16 * g),
+                _mm_add_epi8(_mm_set1_epi8(static_cast<char>(16 * g)),
+                             scan::byteIndex()));
+        }
+    }
+}
+
+template <typename T>
+void
+CacheSystem::SetBlocks::saveRegion(Serializer &s, std::size_t off,
+                                   bool present) const
+{
+    std::vector<T> v(present ? sets_ * ways_ : 0);
+    for (std::size_t b = 0; b < sets_ && present; ++b)
+        std::memcpy(&v[b * ways_], at(b) + off, sizeof(T) * ways_);
+    s.podVec(v);
+}
+
+template <typename T>
+void
+CacheSystem::SetBlocks::restoreRegion(Deserializer &d, std::size_t off,
+                                      bool present)
+{
+    std::vector<T> v;
+    d.podVec(v);
+    if (v.size() != (present ? sets_ * ways_ : 0))
+        throw SnapshotError("CacheSystem: geometry mismatch");
+    for (std::size_t b = 0; b < sets_ && present; ++b)
+        std::memcpy(at(b) + off, &v[b * ways_], sizeof(T) * ways_);
 }
 
 void
 CacheSystem::SetBlocks::save(Serializer &s) const
 {
-    std::vector<std::uint64_t> ent(sets_ * ways_);
-    std::vector<std::uint16_t> st(sets_ * (ways_ + 1));
-    for (std::size_t b = 0; b < sets_; ++b) {
-        std::copy_n(entries(b), ways_, &ent[b * ways_]);
-        std::copy_n(stamps(b), ways_ + 1, &st[b * (ways_ + 1)]);
-    }
-    s.podVec(ent);
-    s.podVec(st);
+    saveRegion<std::uint32_t>(s, 0, true);
+    saveRegion<std::uint8_t>(s, rank_off_, true);
+    saveRegion<std::uint8_t>(s, flag_off_, true);
+    saveRegion<std::uint16_t>(s, owner_off_, true);
+    saveRegion<std::uint16_t>(s, core_off_, with_cores_);
 }
 
 void
 CacheSystem::SetBlocks::restore(Deserializer &d)
 {
-    std::vector<std::uint64_t> ent;
-    std::vector<std::uint16_t> st;
-    d.podVec(ent);
-    d.podVec(st);
-    if (ent.size() != sets_ * ways_ || st.size() != sets_ * (ways_ + 1))
-        throw SnapshotError("CacheSystem: geometry mismatch");
-    for (std::size_t b = 0; b < sets_; ++b) {
-        std::copy_n(&ent[b * ways_], ways_, entries(b));
-        std::copy_n(&st[b * (ways_ + 1)], ways_ + 1, stamps(b));
-    }
-}
-
-void
-CacheSystem::renumberStamps(std::uint16_t *st, unsigned ways)
-{
-    // Called when the clock would wrap: renumber the stamps
-    // 0..ways-1 by rank, ties broken by way index. Valid ways hold
-    // distinct stamps, so their order -- all that victim choice
-    // reads -- is kept.
-    std::uint16_t rank[32];
-    for (unsigned w = 0; w < ways; ++w) {
-        rank[w] = 0;
-        for (unsigned v = 0; v < ways; ++v)
-            rank[w] += st[v] < st[w] || (st[v] == st[w] && v < w);
-    }
-    std::copy(rank, rank + ways, st);
-    st[ways] = static_cast<std::uint16_t>(ways - 1);
+    restoreRegion<std::uint32_t>(d, 0, true);
+    restoreRegion<std::uint8_t>(d, rank_off_, true);
+    restoreRegion<std::uint8_t>(d, flag_off_, true);
+    restoreRegion<std::uint16_t>(d, owner_off_, true);
+    restoreRegion<std::uint16_t>(d, core_off_, with_cores_);
 }
 
 CacheSystem::CacheSystem(const CacheGeometry &g, const CacheLatencies &l,
                          Dram &dram_, CatController &cat_)
     : geom(g), lat(l), dram(dram_), cat(cat_)
 {
-    static_assert(kLineFieldBits == 32 &&
-                      kValidEntryBit == std::uint64_t(1) << scan::kValidBit,
-                  "the scans read the line from an entry's low 32 bits "
-                  "and the valid flag from bit scan::kValidBit");
+    static_assert(kLineFieldBits == 32, "tags are u32 line numbers");
     if (geom.dca_ways + geom.inclusive_ways > geom.llc_ways)
         fatal("CacheSystem: DCA + inclusive ways exceed associativity");
     if (cat.numWays() != geom.llc_ways)
@@ -93,15 +107,17 @@ CacheSystem::CacheSystem(const CacheGeometry &g, const CacheLatencies &l,
         fatal("CacheSystem: LLC and MLC associativity must be 1-32");
     if (geom.num_cores > kMaxCores)
         fatal(sformat("CacheSystem: %u cores exceed the %u the LLC "
-                      "entry's MLC-core field holds",
+                      "LLC's MLC-core field holds",
                       geom.num_cores, kMaxCores));
 
     dca_mask = CatController::makeMask(0, geom.dca_ways - 1);
     inclusive_mask = CatController::makeMask(geom.firstInclusiveWay(),
                                              geom.llc_ways - 1);
 
-    llc_.init(geom.llc_sets, geom.llc_ways);
-    mlc_.init(std::size_t(geom.num_cores) * geom.mlc_sets, geom.mlc_ways);
+    llc_.init(geom.llc_sets, geom.llc_ways, true,
+              geom.replacement == LlcReplacement::Lru);
+    mlc_.init(std::size_t(geom.num_cores) * geom.mlc_sets, geom.mlc_ways,
+              false, true);
 
     wl_stats.resize(16);
 }
@@ -109,22 +125,24 @@ CacheSystem::CacheSystem(const CacheGeometry &g, const CacheLatencies &l,
 void
 CacheSystem::touchLlc(unsigned set, unsigned way)
 {
-    // LRU: bump the per-set clock. SRRIP: promote to near-immediate
-    // re-reference (RRPV 0).
-    llc_.stamps(set)[way] = geom.replacement == LlcReplacement::Lru
-                                ? nextStamp(llc_, set, geom.llc_ways)
-                                : 0;
+    // LRU: the way becomes the most recent. SRRIP: promote to
+    // near-immediate re-reference (RRPV 0).
+    if (geom.replacement == LlcReplacement::Lru)
+        scan::rankTouch(llc_.ranks(set), geom.llc_ways, way);
+    else
+        llc_.ranks(set)[way] = 0;
 }
 
 void
-CacheSystem::stampInsertLlc(unsigned set, unsigned way)
+CacheSystem::rankInsertLlc(unsigned set, unsigned way)
 {
     // SRRIP inserts at a long re-reference interval (RRPV 2), which
     // is what lets one-shot (bloated) lines age out before reused
     // ones; LRU inserts at MRU.
-    llc_.stamps(set)[way] = geom.replacement == LlcReplacement::Lru
-                                ? nextStamp(llc_, set, geom.llc_ways)
-                                : 2;
+    if (geom.replacement == LlcReplacement::Lru)
+        scan::rankTouch(llc_.ranks(set), geom.llc_ways, way);
+    else
+        llc_.ranks(set)[way] = 2;
 }
 
 // --- deferred device accesses -----------------------------------------------
@@ -232,17 +250,17 @@ CacheSystem::coreAccess(Tick now, CoreId core, Addr line, WorkloadId wl_id,
     drainDeferred(now);
     if (core >= geom.num_cores)
         panic(sformat("core %u out of range", core));
-    assert(line <= kLineMask && "address beyond the 32-bit line field");
+    const std::uint32_t tag = tagOf(line);
 
     WorkloadCounters &w = wl(wl_id);
 
     // MLC lookup.
     const std::size_t mb = mlcBlockOf(core, line);
-    std::uint64_t *me = mlc_.entries(mb);
-    if (int mw = scan::findWay(me, geom.mlc_ways, line); mw >= 0) {
-        mlc_.stamps(mb)[mw] = nextStamp(mlc_, mb, geom.mlc_ways);
+    if (int mw = scan::findWay(mlc_.tags(mb), geom.mlc_ways, tag);
+        mw >= 0) {
+        scan::rankTouch(mlc_.ranks(mb), geom.mlc_ways, unsigned(mw));
         if (is_write)
-            me[mw] |= std::uint64_t(kDirty) << kFlagShift;
+            mlc_.flags(mb)[mw] |= kDirty;
         w.mlc_hit.inc();
         return {HitLevel::MlcHit, lat.mlc_hit_ns};
     }
@@ -250,15 +268,15 @@ CacheSystem::coreAccess(Tick now, CoreId core, Addr line, WorkloadId wl_id,
 
     // LLC lookup.
     const unsigned set = llcSetOf(line);
-    std::uint64_t *le = llc_.entries(set);
+    std::uint32_t *lt = llc_.tags(set);
     gstats.llc_lookups.inc();
-    if (int lw = scan::findWay(le, geom.llc_ways, line); lw >= 0) {
+    if (int lw = scan::findWay(lt, geom.llc_ways, tag); lw >= 0) {
         auto way = unsigned(lw);
         w.llc_hit.inc();
         touchLlc(set, way);
 
-        std::uint8_t fl = flagsOf(le[way]);
-        const WorkloadId owner = ownerOf(le[way]);
+        std::uint8_t fl = llc_.flags(set)[way];
+        const WorkloadId owner = llc_.owners(set)[way];
 
         if (fl & kIo) {
             // Rule 4: consumption of a DMA-written line transitions it
@@ -267,18 +285,19 @@ CacheSystem::coreAccess(Tick now, CoreId core, Addr line, WorkloadId wl_id,
             if (way < geom.firstInclusiveWay()) {
                 // Migrate: vacate this slot, re-allocate inside the
                 // inclusive ways (CLOS-independent).
-                le[way] = 0;
+                lt[way] = 0;
                 way = llcAlloc(now, set, line, inclusive_mask, owner,
                                fl, EvictCause::Migration);
                 wl(owner).migrated_inclusive.inc();
             }
-            le[way] = pack(line, owner, core, fl | kInMlc);
+            llc_.flags(set)[way] = fl | kInMlc;
+            llc_.cores(set)[way] = core;
             mlcInsert(now, core, mb, line, owner, is_write, true);
         } else {
             // Plain victim-cache hit: move to the MLC, drop the LLC
             // copy (non-inclusive exclusivity for non-I/O data).
             const bool dirty = fl & kDirty;
-            le[way] = 0;
+            lt[way] = 0;
             mlcInsert(now, core, mb, line, owner, dirty || is_write,
                       false);
         }
@@ -298,43 +317,44 @@ CacheSystem::mlcInsert(Tick now, CoreId core, std::size_t mb, Addr line,
                        WorkloadId owner, bool dirty, bool io)
 {
     // An invalid way, else the LRU victim.
-    std::uint64_t *me = mlc_.entries(mb);
-    const auto v = unsigned(
-        scan::lruVictim(me, mlc_.stamps(mb), geom.mlc_ways, ~WayMask(0)));
-    if (me[v] & kValidEntryBit)
-        mlcEvictEntry(now, core, me[v]);
+    std::uint32_t *mt = mlc_.tags(mb);
+    std::uint8_t *rank = mlc_.ranks(mb);
+    const auto v =
+        unsigned(scan::lruVictim(mt, rank, geom.mlc_ways, ~WayMask(0)));
+    if (mt[v] != 0)
+        mlcEvictWay(now, core, mb, v);
 
-    me[v] = pack(line, owner, 0,
-                 std::uint8_t(kValid | (dirty ? kDirty : 0) |
-                              (io ? kIo : 0)));
-    mlc_.stamps(mb)[v] = nextStamp(mlc_, mb, geom.mlc_ways);
+    mt[v] = tagOf(line);
+    mlc_.flags(mb)[v] =
+        std::uint8_t((dirty ? kDirty : 0) | (io ? kIo : 0));
+    mlc_.owners(mb)[v] = owner;
+    scan::rankTouch(rank, geom.mlc_ways, v);
 }
 
 void
-CacheSystem::mlcEvictEntry(Tick now, CoreId core, std::uint64_t entry)
+CacheSystem::mlcEvictWay(Tick now, CoreId core, std::size_t mb, unsigned v)
 {
-    const Addr line = lineOfEntry(entry);
-    const std::uint8_t fl = flagsOf(entry);
+    const Addr line = mlc_.tags(mb)[v];
+    const std::uint8_t fl = mlc_.flags(mb)[v];
     const bool dirty = fl & kDirty;
     const bool io = fl & kIo;
-    const WorkloadId owner = ownerOf(entry);
+    const WorkloadId owner = mlc_.owners(mb)[v];
 
     // If the LLC still holds the line (LLC-inclusive), the eviction
     // just downgrades it to LLC-exclusive — no new allocation.
     const unsigned set = llcSetOf(line);
-    std::uint64_t *le = llc_.entries(set);
-    if (int lw = scan::findWay(le, geom.llc_ways, line); lw >= 0) {
-        std::uint8_t lf = flagsOf(le[lw]);
+    if (int lw = scan::findWay(llc_.tags(set), geom.llc_ways, tagOf(line));
+        lw >= 0) {
+        std::uint8_t &lf = llc_.flags(set)[lw];
         lf &= static_cast<std::uint8_t>(~kInMlc);
         if (dirty)
             lf |= kDirty;
-        le[lw] = withFlags(le[lw], lf);
         return;
     }
 
     // Rule 2 (+7): allocate into the LLC inside the core's CLOS mask.
-    std::uint8_t nf = std::uint8_t(kValid | (dirty ? kDirty : 0) |
-                                   (io ? (kIo | kConsumed) : 0));
+    std::uint8_t nf =
+        std::uint8_t((dirty ? kDirty : 0) | (io ? (kIo | kConsumed) : 0));
     llcAlloc(now, set, line, cat.maskForCore(core), owner, nf,
              EvictCause::Capacity);
     if (io)
@@ -345,9 +365,9 @@ void
 CacheSystem::invalidateMlc(CoreId core, Addr line)
 {
     const std::size_t mb = mlcBlockOf(core, line);
-    std::uint64_t *me = mlc_.entries(mb);
-    if (int mw = scan::findWay(me, geom.mlc_ways, line); mw >= 0)
-        me[mw] = 0;
+    std::uint32_t *mt = mlc_.tags(mb);
+    if (int mw = scan::findWay(mt, geom.mlc_ways, tagOf(line)); mw >= 0)
+        mt[mw] = 0;
 }
 
 // --- LLC allocation / eviction --------------------------------------------------
@@ -360,33 +380,36 @@ CacheSystem::llcAlloc(Tick now, unsigned set, Addr line, WayMask mask,
     if (mask == 0)
         panic("llcAlloc: empty way mask");
 
-    std::uint64_t *le = llc_.entries(set);
-    std::uint16_t *st = llc_.stamps(set);
+    std::uint32_t *lt = llc_.tags(set);
+    std::uint8_t *rank = llc_.ranks(set);
     const bool srrip = geom.replacement == LlcReplacement::Srrip;
     const int victim =
-        srrip ? scan::srripVictim(le, st, geom.llc_ways, mask)
-              : scan::lruVictim(le, st, geom.llc_ways, mask);
+        srrip ? scan::srripVictim(lt, rank, geom.llc_ways, mask)
+              : scan::lruVictim(lt, rank, geom.llc_ways, mask);
     if (victim < 0)
         panic("llcAlloc: mask selected no ways");
     const auto w2 = static_cast<unsigned>(victim);
 
-    if (le[w2] & kValidEntryBit) {
-        if (srrip && st[w2] < 3) {
+    if (lt[w2] != 0) {
+        if (srrip && rank[w2] < 3) {
             // SRRIP found no way at the distant RRPV (3): age every
             // candidate until the victim's RRPV reaches 3, which is
             // the net effect of re-scanning after each aging round.
-            const unsigned age = 3u - st[w2];
+            const unsigned age = 3u - rank[w2];
             for (unsigned w = 0; w < geom.llc_ways; ++w) {
                 if (mask & (1u << w))
-                    st[w] = static_cast<std::uint16_t>(
-                        std::min(3u, st[w] + age));
+                    rank[w] = static_cast<std::uint8_t>(
+                        std::min(3u, rank[w] + age));
             }
         }
         llcEvictSlot(now, set, w2, cause);
     }
 
-    le[w2] = pack(line, owner, 0, flags | kValid);
-    stampInsertLlc(set, w2);
+    lt[w2] = tagOf(line);
+    llc_.flags(set)[w2] = flags;
+    llc_.owners(set)[w2] = owner;
+    llc_.cores(set)[w2] = 0;
+    rankInsertLlc(set, w2);
     return w2;
 }
 
@@ -394,9 +417,8 @@ void
 CacheSystem::llcEvictSlot(Tick now, unsigned set, unsigned way,
                           EvictCause cause)
 {
-    std::uint64_t &e = llc_.entries(set)[way];
-    const std::uint8_t fl = flagsOf(e);
-    WorkloadCounters &ow = wl(ownerOf(e));
+    const std::uint8_t fl = llc_.flags(set)[way];
+    WorkloadCounters &ow = wl(llc_.owners(set)[way]);
 
     gstats.llc_evictions.inc();
     if (way < geom.dca_ways)
@@ -417,7 +439,7 @@ CacheSystem::llcEvictSlot(Tick now, unsigned set, unsigned way,
 
     // If an MLC still holds the line it silently becomes MLC-only;
     // the extended directory keeps tracking it (nothing to do here).
-    e = 0;
+    llc_.tags(set)[way] = 0;
 }
 
 // --- device-side paths -------------------------------------------------------------
@@ -427,23 +449,24 @@ CacheSystem::dmaWrite(Tick now, Addr line, WorkloadId owner,
                       std::span<const CoreId> consumers, bool allocating)
 {
     drainDeferred(now);
-    assert(line <= kLineMask && "address beyond the 32-bit line field");
+    const std::uint32_t tag = tagOf(line);
     WorkloadCounters &w = wl(owner);
     const unsigned set = llcSetOf(line);
-    std::uint64_t *le = llc_.entries(set);
+    std::uint32_t *lt = llc_.tags(set);
 
     if (allocating) {
         w.dma_lines_written.inc();
-        if (int lw = scan::findWay(le, geom.llc_ways, line); lw >= 0) {
+        if (int lw = scan::findWay(lt, geom.llc_ways, tag); lw >= 0) {
             // Rule 5: write-update in place, wherever the line lives.
-            std::uint8_t fl = flagsOf(le[lw]);
+            std::uint8_t fl = llc_.flags(set)[lw];
             if (fl & kInMlc) {
-                invalidateMlc(mlcCoreOf(le[lw]), line);
+                invalidateMlc(llc_.cores(set)[lw], line);
                 fl &= static_cast<std::uint8_t>(~kInMlc);
             }
             fl |= kDirty | kIo;
             fl &= static_cast<std::uint8_t>(~kConsumed);
-            le[lw] = pack(line, owner, mlcCoreOf(le[lw]), fl);
+            llc_.flags(set)[lw] = fl;
+            llc_.owners(set)[lw] = owner;
             touchLlc(set, unsigned(lw));
             w.dma_write_update.inc();
         } else {
@@ -451,8 +474,8 @@ CacheSystem::dmaWrite(Tick now, Addr line, WorkloadId owner,
             // consumed through the memory path after a leak).
             for (CoreId c : consumers)
                 invalidateMlc(c, line);
-            llcAlloc(now, set, line, dca_mask, owner,
-                     kValid | kDirty | kIo, EvictCause::DmaAlloc);
+            llcAlloc(now, set, line, dca_mask, owner, kDirty | kIo,
+                     EvictCause::DmaAlloc);
             w.dma_write_alloc.inc();
         }
     } else {
@@ -460,10 +483,10 @@ CacheSystem::dmaWrite(Tick now, Addr line, WorkloadId owner,
         w.dma_nonalloc.inc();
         w.mem_write_lines.inc();
         dram.writeLine(now);
-        if (int lw = scan::findWay(le, geom.llc_ways, line); lw >= 0) {
-            if (flagsOf(le[lw]) & kInMlc)
-                invalidateMlc(mlcCoreOf(le[lw]), line);
-            le[lw] = 0;
+        if (int lw = scan::findWay(lt, geom.llc_ways, tag); lw >= 0) {
+            if (llc_.flags(set)[lw] & kInMlc)
+                invalidateMlc(llc_.cores(set)[lw], line);
+            lt[lw] = 0;
         } else {
             for (CoreId c : consumers)
                 invalidateMlc(c, line);
@@ -476,10 +499,10 @@ CacheSystem::dmaRead(Tick now, Addr line, WorkloadId owner,
                      std::span<const CoreId> cores)
 {
     drainDeferred(now);
-    assert(line <= kLineMask && "address beyond the 32-bit line field");
+    const std::uint32_t tag = tagOf(line);
     const unsigned set = llcSetOf(line);
 
-    if (int lw = scan::findWay(llc_.entries(set), geom.llc_ways, line);
+    if (int lw = scan::findWay(llc_.tags(set), geom.llc_ways, tag);
         lw >= 0) {
         touchLlc(set, unsigned(lw));
         return true;
@@ -488,13 +511,13 @@ CacheSystem::dmaRead(Tick now, Addr line, WorkloadId owner,
     // MLC-only data: egress read-allocates a copy in the inclusive
     // ways (rule 9), making the line LLC-inclusive.
     for (CoreId c : cores) {
-        const std::uint64_t *me = mlc_.entries(mlcBlockOf(c, line));
-        if (int mw = scan::findWay(me, geom.mlc_ways, line); mw >= 0) {
-            const unsigned nw = llcAlloc(now, set, line, inclusive_mask,
-                                         ownerOf(me[mw]), kValid,
-                                         EvictCause::Capacity);
-            std::uint64_t &e = llc_.entries(set)[nw];
-            e = pack(line, ownerOf(e), c, kValid | kInMlc);
+        const std::size_t mb = mlcBlockOf(c, line);
+        if (int mw = scan::findWay(mlc_.tags(mb), geom.mlc_ways, tag);
+            mw >= 0) {
+            const unsigned nw =
+                llcAlloc(now, set, line, inclusive_mask,
+                         mlc_.owners(mb)[mw], kInMlc, EvictCause::Capacity);
+            llc_.cores(set)[nw] = c;
             gstats.egress_inclusive_alloc.inc();
             return true;
         }
@@ -554,17 +577,21 @@ CacheSystem::Probe
 CacheSystem::probeLlc(Addr addr) const
 {
     const Addr line = lineOf(addr);
-    const std::uint64_t *le = llc_.entries(llcSetOf(line));
+    const unsigned set = llcSetOf(line);
+    const int lw =
+        line == 0 ? -1
+                  : scan::findWay(llc_.tags(set), geom.llc_ways,
+                                  static_cast<std::uint32_t>(line));
     Probe p;
-    if (int lw = scan::findWay(le, geom.llc_ways, line); lw >= 0) {
-        const std::uint8_t fl = flagsOf(le[lw]);
+    if (lw >= 0) {
+        const std::uint8_t fl = llc_.flags(set)[lw];
         p.in_llc = true;
         p.way = unsigned(lw);
         p.dirty = fl & kDirty;
         p.io = fl & kIo;
         p.consumed = fl & kConsumed;
         p.in_mlc_flag = fl & kInMlc;
-        p.owner = ownerOf(le[lw]);
+        p.owner = llc_.owners(set)[lw];
     }
     return p;
 }
@@ -573,8 +600,9 @@ bool
 CacheSystem::inMlc(CoreId core, Addr addr) const
 {
     const Addr line = lineOf(addr);
-    return scan::findWay(mlc_.entries(mlcBlockOf(core, line)),
-                         geom.mlc_ways, line) >= 0;
+    return line != 0 &&
+           scan::findWay(mlc_.tags(mlcBlockOf(core, line)), geom.mlc_ways,
+                         static_cast<std::uint32_t>(line)) >= 0;
 }
 
 std::size_t
@@ -582,27 +610,22 @@ CacheSystem::auditInvariants() const
 {
     std::size_t violations = 0;
     for (unsigned s = 0; s < geom.llc_sets; ++s) {
-        const std::uint64_t *le = llc_.entries(s);
+        const std::uint32_t *lt = llc_.tags(s);
         for (unsigned w2 = 0; w2 < geom.llc_ways; ++w2) {
-            const std::uint64_t e = le[w2];
-            if (!(e & kValidEntryBit))
+            if (lt[w2] == 0)
                 continue;
             // (a) tag unique within the set.
-            for (unsigned v = w2 + 1; v < geom.llc_ways; ++v) {
-                if ((le[v] & kValidEntryBit) &&
-                    lineOfEntry(le[v]) == lineOfEntry(e))
-                    ++violations;
-            }
-            if (flagsOf(e) & kInMlc) {
+            for (unsigned v = w2 + 1; v < geom.llc_ways; ++v)
+                violations += lt[v] == lt[w2];
+            if (llc_.flags(s)[w2] & kInMlc) {
                 // (b) inclusive lines only in inclusive ways.
                 if (w2 < geom.firstInclusiveWay())
                     ++violations;
                 // (c) the registered MLC copy exists.
-                const CoreId c = mlcCoreOf(e);
-                const Addr line = lineOfEntry(e);
+                const CoreId c = llc_.cores(s)[w2];
                 if (c >= geom.num_cores ||
-                    scan::findWay(mlc_.entries(mlcBlockOf(c, line)),
-                                  geom.mlc_ways, line) < 0)
+                    scan::findWay(mlc_.tags(mlcBlockOf(c, lt[w2])),
+                                  geom.mlc_ways, lt[w2]) < 0)
                     ++violations;
             }
         }
@@ -615,9 +638,9 @@ CacheSystem::llcWayOccupancy() const
 {
     std::vector<std::uint64_t> occ(geom.llc_ways, 0);
     for (unsigned s = 0; s < geom.llc_sets; ++s) {
-        const std::uint64_t *le = llc_.entries(s);
+        const std::uint32_t *lt = llc_.tags(s);
         for (unsigned w2 = 0; w2 < geom.llc_ways; ++w2)
-            occ[w2] += (le[w2] & kValidEntryBit) != 0;
+            occ[w2] += lt[w2] != 0;
     }
     return occ;
 }
@@ -627,9 +650,10 @@ CacheSystem::llcWayOccupancyOf(WorkloadId id) const
 {
     std::vector<std::uint64_t> occ(geom.llc_ways, 0);
     for (unsigned s = 0; s < geom.llc_sets; ++s) {
-        const std::uint64_t *le = llc_.entries(s);
+        const std::uint32_t *lt = llc_.tags(s);
+        const std::uint16_t *own = llc_.owners(s);
         for (unsigned w2 = 0; w2 < geom.llc_ways; ++w2)
-            occ[w2] += (le[w2] & kValidEntryBit) && ownerOf(le[w2]) == id;
+            occ[w2] += lt[w2] != 0 && own[w2] == id;
     }
     return occ;
 }

@@ -34,23 +34,25 @@
  *     read memory without allocating.
  * 10. CAT masks constrain only new allocations.
  *
- * Implementation note: each set is one 64 B-aligned host block --
- * packed u64 way entries, then u16 LRU stamps (SRRIP RRPVs in the LLC
- * under SRRIP), then a u16 per-set clock -- so a lookup touches the
- * two (LLC, 11 ways) or three (MLC, 16 ways) host lines of one block
- * and nothing else. An entry is [6 flag bits][u16 owner][10-bit
- * mlc_core][32-bit line]. The way scans (cache/scan.hh) are SSE2
- * bitmask scans: the tag match compares four entries a step into a
- * match and a valid bitmask, and the LRU victim is the lowest invalid
- * way in the mask, else a packed-u16 argmin of the stamps (biased for
- * the signed pminsw; ties to the lowest way). The scans read whole
- * groups past the last way, so a block is at least scan::scanBytes
- * long; lanes past the last way are masked off. When a set's clock
- * would wrap, its stamps are renumbered by rank (ties by way index),
- * which keeps every comparison and so every decision unchanged. The run
- * entry points (coreRun, dmaWriteRun, dmaReadRun) walk consecutive
- * lines and prefetch the blocks upcoming lines will touch; a prefetch
- * hint only hashes a line into block addresses and reads no state.
+ * Implementation note: each set is one 64 B-aligned host block, split
+ * so that a tag probe reads one host line: line 0 holds the `ways`
+ * u32 tags (the line number; 0 marks an invalid way, so line 0 of the
+ * address space is reserved -- AddressMap starts at 256 MiB) and, as
+ * far as they fit, the `ways` u8 replacement bytes (LRU ranks; SRRIP
+ * RRPVs in the LLC under SRRIP); the next line holds the u8 flags,
+ * the u16 owners and, in the LLC only, the u16 MLC cores. An 11-way
+ * LLC block and a 16-way MLC block are 128 B each. The way kernels
+ * (cache/scan.hh) are SSE2: the tag match compares four tags a step
+ * into a bitmask; an LRU touch lowers every rank above the touched
+ * way's in one pcmpgtb/paddb pass and gives the way the top rank, so
+ * the ranks stay a permutation whose order among valid ways is their
+ * touch order; the LRU victim is the lowest invalid way in the mask,
+ * else the rank-0 way (full mask) or a pminub argmin of the in-mask
+ * ranks. Invalidation clears only the tag; the metadata of an invalid
+ * way is stale and never read. The run entry points (coreRun,
+ * dmaWriteRun, dmaReadRun) walk consecutive lines and prefetch the
+ * blocks upcoming lines will touch; a prefetch hint only hashes a
+ * line into block addresses and reads no state.
  */
 
 #ifndef A4_CACHE_HIERARCHY_HH
@@ -129,8 +131,8 @@ struct AccessResult
 class CacheSystem
 {
   public:
-    /** Upper bound on num_cores: an LLC entry keeps the core of its
-     *  registered MLC copy in a 10-bit field. */
+    /** Upper bound on num_cores (an LLC way keeps the core of its
+     *  registered MLC copy in a u16). */
     static constexpr unsigned kMaxCores = 1024;
 
     CacheSystem(const CacheGeometry &geom, const CacheLatencies &lat,
@@ -295,14 +297,15 @@ class CacheSystem
 
     /**
      * @name Snapshot hooks.
-     * Set blocks go as two compact blobs each -- entries, then stamps
-     * with the per-set clock -- without the host padding (geometry-
-     * checked on restore); counter banks element-wise. Deferred-source
-     * registration is construction-time wiring and is not saved --
-     * each source snapshots its own pending accesses, and
-     * next_deferred_ carries the earliest-pending hint across. Restore
-     * rebuilds the merge tree from the sources and keeps the lower of
-     * the saved hint and the rebuilt root.
+     * Set blocks go as five compact blobs each -- tags, replacement
+     * bytes, flags, owners, MLC cores (empty for the MLCs) -- without
+     * the host padding (geometry-checked on restore); counter banks
+     * element-wise. Deferred-source registration is construction-time
+     * wiring and is not saved -- each source snapshots its own
+     * pending accesses, and next_deferred_ carries the
+     * earliest-pending hint across. Restore rebuilds the merge tree
+     * from the sources and keeps the lower of the saved hint and the
+     * rebuilt root.
      * @{
      */
     void saveState(Serializer &s) const;
@@ -310,13 +313,13 @@ class CacheSystem
     /** @} */
 
   private:
+    /** Per-way flags; a way is valid iff its tag is non-zero. */
     enum Flags : std::uint8_t
     {
-        kValid = 1,
-        kDirty = 2,
-        kIo = 4,       ///< holds DMA-written I/O data
-        kConsumed = 8, ///< a core has read it since the last DMA write
-        kInMlc = 16,   ///< LLC-inclusive: also present in an MLC
+        kDirty = 1,
+        kIo = 2,       ///< holds DMA-written I/O data
+        kConsumed = 4, ///< a core has read it since the last DMA write
+        kInMlc = 8,    ///< LLC-inclusive: also present in an MLC
     };
 
     /** Why a line is being evicted from the LLC (stats attribution). */
@@ -324,36 +327,69 @@ class CacheSystem
 
     /**
      * Every set of one cache level, each a 64 B-aligned block:
-     * [ways x u64 entry][ways x u16 stamp][u16 clock][pad], padded to
-     * at least the scan::scanBytes(ways) the way scans read.
+     * [tags: ways x u32, scan::tagBytes][ranks: ways x u8,
+     * scan::rankBytes][flags: ways x u8, padded to even][owners: ways
+     * x u16][cores: ways x u16, LLC only][pad to 64 B].
      */
     class SetBlocks
     {
       public:
-        void init(std::size_t sets, unsigned ways);
+        /** @p with_cores adds the MLC-core region; @p lru starts every
+         *  set's ranks as the permutation 0..ways-1 (else all 0). */
+        void init(std::size_t sets, unsigned ways, bool with_cores,
+                  bool lru);
 
-        std::uint64_t *
-        entries(std::size_t set)
+        std::uint32_t *
+        tags(std::size_t set)
         {
-            return reinterpret_cast<std::uint64_t *>(at(set));
+            return reinterpret_cast<std::uint32_t *>(at(set));
         }
-        const std::uint64_t *
-        entries(std::size_t set) const
+        const std::uint32_t *
+        tags(std::size_t set) const
         {
-            return reinterpret_cast<const std::uint64_t *>(at(set));
+            return reinterpret_cast<const std::uint32_t *>(at(set));
         }
-        /** ways_ stamps, then the set's clock at index ways_. */
+        /** LRU ranks (SRRIP RRPVs in an SRRIP LLC). */
+        std::uint8_t *
+        ranks(std::size_t set)
+        {
+            return reinterpret_cast<std::uint8_t *>(at(set) + rank_off_);
+        }
+        std::uint8_t *
+        flags(std::size_t set)
+        {
+            return reinterpret_cast<std::uint8_t *>(at(set) + flag_off_);
+        }
+        const std::uint8_t *
+        flags(std::size_t set) const
+        {
+            return reinterpret_cast<const std::uint8_t *>(at(set) +
+                                                          flag_off_);
+        }
         std::uint16_t *
-        stamps(std::size_t set)
+        owners(std::size_t set)
         {
-            return reinterpret_cast<std::uint16_t *>(at(set) +
-                                                     8 * ways_);
+            return reinterpret_cast<std::uint16_t *>(at(set) + owner_off_);
         }
         const std::uint16_t *
-        stamps(std::size_t set) const
+        owners(std::size_t set) const
         {
             return reinterpret_cast<const std::uint16_t *>(at(set) +
-                                                           8 * ways_);
+                                                           owner_off_);
+        }
+        /** MLC cores (with_cores blocks only). */
+        std::uint16_t *
+        cores(std::size_t set)
+        {
+            assert(with_cores_);
+            return reinterpret_cast<std::uint16_t *>(at(set) + core_off_);
+        }
+        const std::uint16_t *
+        cores(std::size_t set) const
+        {
+            assert(with_cores_);
+            return reinterpret_cast<const std::uint16_t *>(at(set) +
+                                                           core_off_);
         }
 
         void
@@ -363,7 +399,7 @@ class CacheSystem
                 __builtin_prefetch(at(set) + off);
         }
 
-        /** Entries, then stamps and clocks, without host padding. */
+        /** Each region as one blob, without host padding. */
         void save(Serializer &s) const;
         void restore(Deserializer &d);
 
@@ -378,50 +414,35 @@ class CacheSystem
             return mem_.get() + set * block_;
         }
 
+        /** One region of every block (@p off into each, ways_ Ts;
+         *  none unless @p present) as one blob. */
+        template <typename T>
+        void saveRegion(Serializer &s, std::size_t off,
+                        bool present) const;
+        template <typename T>
+        void restoreRegion(Deserializer &d, std::size_t off, bool present);
+
         std::unique_ptr<std::byte, AlignedFree> mem_;
         std::size_t sets_ = 0;
         std::size_t block_ = 0;
+        std::size_t rank_off_ = 0;
+        std::size_t flag_off_ = 0;
+        std::size_t owner_off_ = 0;
+        std::size_t core_off_ = 0;
         unsigned ways_ = 0;
+        bool with_cores_ = false;
     };
 
-    // --- packed entries: [flags:6][owner:16][mlc_core:10][line:32] ------
-    static constexpr unsigned kCoreShift = kLineFieldBits;
-    static constexpr unsigned kOwnerShift = kCoreShift + 10;
-    static constexpr unsigned kFlagShift = kOwnerShift + 16;
-    static_assert(kFlagShift + 6 == 64);
-    static constexpr std::uint64_t kLineMask =
-        (std::uint64_t(1) << kLineFieldBits) - 1;
-    static constexpr std::uint64_t kValidEntryBit =
-        std::uint64_t(kValid) << kFlagShift;
+    // --- tags: a line's tag is its number, 0 marks an invalid way ------
+    static constexpr Addr kLineMask = (Addr(1) << kLineFieldBits) - 1;
 
-    static std::uint64_t
-    pack(Addr line, WorkloadId owner, CoreId mlc_core, std::uint8_t flags)
+    /** Tag of @p line on an access path. */
+    static std::uint32_t
+    tagOf(Addr line)
     {
-        return line | (std::uint64_t(mlc_core) << kCoreShift) |
-               (std::uint64_t(owner) << kOwnerShift) |
-               (std::uint64_t(flags) << kFlagShift);
-    }
-
-    /** @p e with its flag bits replaced by @p flags. */
-    static std::uint64_t
-    withFlags(std::uint64_t e, std::uint8_t flags)
-    {
-        return (e & ((std::uint64_t(1) << kFlagShift) - 1)) |
-               (std::uint64_t(flags) << kFlagShift);
-    }
-
-    static std::uint8_t flagsOf(std::uint64_t e)
-    {
-        return static_cast<std::uint8_t>(e >> kFlagShift);
-    }
-    static Addr lineOfEntry(std::uint64_t e) { return e & kLineMask; }
-    static WorkloadId ownerOf(std::uint64_t e)
-    {
-        return static_cast<WorkloadId>(e >> kOwnerShift);
-    }
-    static CoreId mlcCoreOf(std::uint64_t e)
-    {
-        return static_cast<CoreId>((e >> kCoreShift) & 0x3FF);
+        assert(line <= kLineMask && "address beyond the 32-bit line field");
+        assert(line != 0 && "line 0 is reserved (tag 0 = invalid way)");
+        return static_cast<std::uint32_t>(line);
     }
 
     // --- indexing ---------------------------------------------------------
@@ -459,19 +480,6 @@ class CacheSystem
         return std::size_t(core) * geom.mlc_sets + set;
     }
 
-    /** Next LRU stamp of block @p b (renumbers the set on wrap). */
-    static std::uint16_t
-    nextStamp(SetBlocks &blocks, std::size_t b, unsigned ways)
-    {
-        std::uint16_t *st = blocks.stamps(b);
-        if (st[ways] == 0xFFFF) [[unlikely]]
-            renumberStamps(st, ways);
-        return ++st[ways];
-    }
-    /** Rank-renumber @p ways stamps, keeping their order; the clock
-     *  at st[ways] restarts after the highest rank. */
-    static void renumberStamps(std::uint16_t *st, unsigned ways);
-
     // --- run prefetch hints (hash lines into addresses, read no state) ----
     // A run prefetches the set blocks of the line kRunAhead places
     // ahead.
@@ -500,7 +508,8 @@ class CacheSystem
      *  miss there), evicting the LRU way if the set is full. */
     void mlcInsert(Tick now, CoreId core, std::size_t mb, Addr line,
                    WorkloadId owner, bool dirty, bool io);
-    void mlcEvictEntry(Tick now, CoreId core, std::uint64_t entry);
+    /** Write back way @p v of MLC block @p mb (valid) of @p core. */
+    void mlcEvictWay(Tick now, CoreId core, std::size_t mb, unsigned v);
     void invalidateMlc(CoreId core, Addr line);
 
     /**
@@ -513,7 +522,7 @@ class CacheSystem
     void llcEvictSlot(Tick now, unsigned set, unsigned way,
                       EvictCause cause);
     void touchLlc(unsigned set, unsigned way);
-    void stampInsertLlc(unsigned set, unsigned way);
+    void rankInsertLlc(unsigned set, unsigned way);
 
     CacheGeometry geom;
     CacheLatencies lat;

@@ -36,7 +36,7 @@ namespace a4
 {
 
 /** Bump whenever any save/restore pair changes its stream shape. */
-constexpr std::uint32_t kSnapshotFormatVersion = 3;
+constexpr std::uint32_t kSnapshotFormatVersion = 4;
 
 /**
  * Raised on any snapshot mismatch: tag drift, truncation, section
@@ -70,7 +70,7 @@ class Serializer
 
     /**
      * Vector of trivially-copyable scalars as one length-prefixed
-     * blob (used for the cache's set entries and stamps).
+     * blob (used for the regions of the cache's set blocks).
      */
     template <typename T>
     void

@@ -227,8 +227,8 @@ INSTANTIATE_TEST_SUITE_P(
                  40000, 1, 13},
         DiffCase{"srrip_conflict", tiny(2, 2, 2, LlcReplacement::Srrip),
                  48, 40000, 1, 14},
-        // One LLC set and one MLC set per core: every stamp clock
-        // wraps, so the rank renumbering is exercised.
+        // One LLC set and one MLC set per core: long LRU rank-touch
+        // runs through the same sets.
         DiffCase{"lru_wrap", tiny(1, 1, 2, LlcReplacement::Lru), 48,
                  200000, 1, 17},
         DiffCase{"lru_19way", wide(19, LlcReplacement::Lru), 512, 40000,

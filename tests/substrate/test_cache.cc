@@ -304,6 +304,17 @@ TEST(CacheRules, Rule9_EgressServedFromLlcOrInclusiveAlloc)
     EXPECT_FALSE(r.cache.dmaReadLine(0, c, Rig::kWl, Rig::kCore0));
     EXPECT_EQ(r.dram.readBytes().value(), rd_before + kLineBytes);
     EXPECT_FALSE(r.cache.probeLlc(c).in_llc);
+
+    // Case 4: the inclusive copy registers the core whose MLC held the
+    // line, so a later DMA write invalidates that core's copy.
+    Addr d = 0x1780000;
+    const std::array<CoreId, 2> cores = {0, 2};
+    r.cache.coreRead(0, 2, d, Rig::kWl);
+    EXPECT_TRUE(r.cache.dmaReadLine(0, d, Rig::kWl, cores));
+    EXPECT_TRUE(r.cache.probeLlc(d).in_mlc_flag);
+    EXPECT_EQ(r.cache.auditInvariants(), 0u);
+    r.cache.dmaWriteLine(0, d, Rig::kIoWl, Rig::kCore0, true);
+    EXPECT_FALSE(r.cache.inMlc(2, d));
 }
 
 TEST(CacheRules, Rule10_MaskChangeAffectsOnlyNewAllocations)
@@ -401,6 +412,29 @@ TEST(CacheBounds, TopLineOfTheSpaceIsDistinct)
     EXPECT_FALSE(r.cache.probeLlc(top - kLineBytes).in_llc);
     EXPECT_EQ(r.cache.coreRead(1, 0, top, Rig::kWl).level, HitLevel::LlcHit);
     EXPECT_TRUE(r.cache.inMlc(0, top));
+    EXPECT_EQ(r.cache.auditInvariants(), 0u);
+}
+
+TEST(CacheBounds, LowestAllocatedAndTopLinesAreDistinct)
+{
+    // Tag 0 marks an invalid way, so line 0 is reserved; AddressMap's
+    // first region starts well above it.
+    AddressMap a;
+    const Addr low = a.alloc(4096, "first");
+    ASSERT_NE(lineOf(low), 0u);
+    const Addr top = kAddrSpaceBytes - kLineBytes;
+    Rig r;
+    r.cache.dmaWriteLine(0, low, Rig::kIoWl, Rig::kCore0, true);
+    r.cache.dmaWriteLine(0, top, Rig::kWl, Rig::kCore0, true);
+    EXPECT_EQ(r.cache.probeLlc(low).owner, Rig::kIoWl);
+    EXPECT_EQ(r.cache.probeLlc(top).owner, Rig::kWl);
+    EXPECT_FALSE(r.cache.probeLlc(0).in_llc);
+    EXPECT_EQ(r.cache.coreRead(1, 0, low, Rig::kWl).level, HitLevel::LlcHit);
+    EXPECT_EQ(r.cache.coreRead(2, 1, top, Rig::kWl).level, HitLevel::LlcHit);
+    EXPECT_TRUE(r.cache.inMlc(0, low));
+    EXPECT_FALSE(r.cache.inMlc(0, top));
+    EXPECT_TRUE(r.cache.inMlc(1, top));
+    EXPECT_FALSE(r.cache.inMlc(0, 0));
     EXPECT_EQ(r.cache.auditInvariants(), 0u);
 }
 

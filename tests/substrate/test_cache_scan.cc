@@ -1,15 +1,20 @@
 /**
  * @file
- * The SSE2 way scans (cache/scan.hh) against plain scalar loops: the
- * tag match, and the LRU and SRRIP victims as the minimum of a per-way
- * key -- `w` for an invalid (or, under SRRIP, distant) way,
- * `1<<32 | rank<<8 | w` for a valid one, all-ones outside the mask.
+ * The SSE2 way kernels (cache/scan.hh) against plain scalar loops:
+ * the tag match, the LRU rank touch, and the LRU and SRRIP victims.
  *
- * Blocks are seeded random for every associativity from 1 to 32 and
- * allocated at exactly scan::scanBytes, so a sanitizer build catches a
- * read past what the scans declare. The bytes past the last stamp are
- * random, as are the upper entry bits of every way; invalid ways keep
- * stale lines and stamps.
+ * Tags and replacement bytes are allocated separately at exactly
+ * scan::tagBytes and scan::rankBytes, so a sanitizer build catches a
+ * read past what the kernels declare. Lanes past the last way hold
+ * random garbage (including the probed tag and 0); invalid ways hold
+ * tag 0 beside stale ranks and flags.
+ *
+ * The LRU victim is checked against the stamp definition it replaced:
+ * every touch or fill stamps the way with a rising clock, and the
+ * victim is the lowest invalid way in the mask, else the in-mask way
+ * with the least stamp -- the minimum of the key `w` (invalid) or
+ * `1<<40 | stamp<<8 | w` (valid). The ranks under test see only the
+ * same touches, fills and invalidations.
  */
 
 #include <gtest/gtest.h>
@@ -28,89 +33,55 @@ using namespace a4;
 namespace
 {
 
-constexpr std::uint64_t kValid = std::uint64_t(1) << scan::kValidBit;
-
-/** One set block of @p ways ways, scanBytes long, random throughout. */
+/** The two leading regions of one set block, exactly as long as the
+ *  kernels read, random throughout. */
 struct Block
 {
     Block(unsigned ways_, Rng &rng)
-        : ways(ways_), bytes(scan::scanBytes(ways_)),
-          mem(new std::byte[bytes])
+        : ways(ways_), tag_lanes(scan::tagBytes(ways_) / 4),
+          rank_lanes(scan::rankBytes(ways_)),
+          tags(new std::uint32_t[tag_lanes]),
+          ranks(new std::uint8_t[rank_lanes])
     {
-        for (std::size_t i = 0; i < bytes; ++i)
-            mem[i] = std::byte(rng.next());
-    }
-
-    std::uint64_t
-    entry(unsigned w) const
-    {
-        std::uint64_t e;
-        std::memcpy(&e, &mem[8 * w], 8);
-        return e;
-    }
-    void setEntry(unsigned w, std::uint64_t e)
-    {
-        std::memcpy(&mem[8 * w], &e, 8);
-    }
-    std::uint16_t
-    stamp(unsigned w) const
-    {
-        std::uint16_t s;
-        std::memcpy(&s, &mem[8 * ways + 2 * w], 2);
-        return s;
-    }
-    void setStamp(unsigned w, std::uint16_t s)
-    {
-        std::memcpy(&mem[8 * ways + 2 * w], &s, 2);
-    }
-
-    const std::uint64_t *
-    entries() const
-    {
-        return reinterpret_cast<const std::uint64_t *>(mem.get());
-    }
-    const std::uint16_t *
-    stamps() const
-    {
-        return reinterpret_cast<const std::uint16_t *>(mem.get() +
-                                                       8 * ways);
+        for (unsigned i = 0; i < tag_lanes; ++i)
+            tags[i] = std::uint32_t(rng.next());
+        for (unsigned i = 0; i < rank_lanes; ++i)
+            ranks[i] = std::uint8_t(rng.next());
     }
 
     unsigned ways;
-    std::size_t bytes;
-    std::unique_ptr<std::byte[]> mem;
+    unsigned tag_lanes;
+    unsigned rank_lanes;
+    std::unique_ptr<std::uint32_t[]> tags;
+    std::unique_ptr<std::uint8_t[]> ranks;
 };
 
-bool isValid(std::uint64_t e) { return e & kValid; }
-std::uint32_t lineField(std::uint64_t e) { return std::uint32_t(e); }
-
-/** Fill @p b like a live set: unique lines on the valid ways, stale
- *  entries (sometimes all-zero, as invalidation leaves them) on the
- *  others, and stamps drawn per @p mode: full range, a narrow range
- *  full of ties, or mostly 0xFFFF. */
+/** Fill @p b like a live set: unique non-zero tags on about three in
+ *  four ways, 0 on the rest, and padding-lane tags drawn from the
+ *  set's own tags, 0 or anything. */
 void
-fillSet(Block &b, Rng &rng, unsigned mode)
+fillTags(Block &b, Rng &rng)
 {
-    std::vector<std::uint32_t> lines;
     for (unsigned w = 0; w < b.ways; ++w) {
-        std::uint32_t line = 0;
-        do {
-            line = std::uint32_t(rng.below(4 * b.ways + 1));
-        } while (std::count(lines.begin(), lines.end(), line) != 0);
-        lines.push_back(line);
-        std::uint64_t e = (rng.next() & ~kValid & ~0xFFFFFFFFull) | line;
-        if (rng.below(4) == 0)
-            e = rng.chance(0.5) ? 0 : e; // invalid, stale or zeroed
-        else
-            e |= kValid;
-        b.setEntry(w, e);
-
-        std::uint16_t s = std::uint16_t(rng.next());
-        if (mode == 1)
-            s = std::uint16_t(rng.below(5));
-        else if (mode == 2 && !rng.chance(0.2))
-            s = 0xFFFF;
-        b.setStamp(w, s);
+        std::uint32_t tag = 0;
+        if (rng.below(4) != 0) {
+            do {
+                tag = 1 + std::uint32_t(rng.below(4 * b.ways));
+            } while (std::count(b.tags.get(), b.tags.get() + w, tag) != 0);
+        }
+        b.tags[w] = tag;
+    }
+    for (unsigned i = b.ways; i < b.tag_lanes; ++i) {
+        switch (rng.below(3)) {
+          case 0:
+            b.tags[i] = 0;
+            break;
+          case 1:
+            b.tags[i] = b.tags[rng.below(b.ways)];
+            break;
+          default:
+            b.tags[i] = std::uint32_t(rng.next());
+        }
     }
 }
 
@@ -137,32 +108,33 @@ randomMask(unsigned ways, Rng &rng)
 }
 
 int
-scalarFind(const Block &b, std::uint32_t line)
+scalarFind(const Block &b, std::uint32_t tag)
 {
     int found = -1;
     for (unsigned w = 0; w < b.ways; ++w) {
-        if (isValid(b.entry(w)) && lineField(b.entry(w)) == line)
+        if (b.tags[w] == tag && found < 0)
             found = int(w);
     }
     return found;
 }
 
-/** The key-min victim, one way at a time. */
+/** The key-min victim over per-way stamps (LRU) or RRPVs (SRRIP). */
 int
-scalarVictim(const Block &b, WayMask mask, bool srrip)
+scalarVictim(const Block &b, const std::vector<std::uint64_t> &stamp,
+             WayMask mask, bool srrip)
 {
     std::uint64_t best = ~std::uint64_t(0);
     for (unsigned w = 0; w < b.ways; ++w) {
         if (!(mask >> w & 1))
             continue;
-        std::uint64_t rank = b.stamp(w);
-        bool ranked = isValid(b.entry(w));
+        std::uint64_t rank = stamp[w];
+        bool ranked = b.tags[w] != 0;
         if (srrip) {
             rank = rank < 3 ? 3 - rank : 0;
             ranked = ranked && rank != 0;
         }
         const std::uint64_t key =
-            ranked ? (std::uint64_t(1) << 32) | (rank << 8) | w : w;
+            ranked ? (std::uint64_t(1) << 40) | (rank << 8) | w : w;
         best = std::min(best, key);
     }
     return best == ~std::uint64_t(0) ? -1 : int(best & 0xFF);
@@ -178,40 +150,115 @@ TEST(CacheScan, FindWayMatchesTheScalarLoop)
     for (unsigned ways = 1; ways <= 32; ++ways) {
         for (int t = 0; t < kTrialsPerWays; ++t) {
             Block b(ways, rng);
-            fillSet(b, rng, unsigned(rng.below(3)));
+            fillTags(b, rng);
             std::vector<std::uint32_t> probes = {
-                0, std::uint32_t(rng.next()),
-                std::uint32_t(rng.below(4 * ways + 1))};
-            for (unsigned w = 0; w < ways; ++w)
-                probes.push_back(lineField(b.entry(w)));
-            for (std::uint32_t line : probes) {
-                ASSERT_EQ(scan::findWay(b.entries(), ways, line),
-                          scalarFind(b, line))
-                    << ways << " ways, trial " << t << ", line " << line;
+                std::uint32_t(rng.next()) | 1,
+                1 + std::uint32_t(rng.below(4 * ways))};
+            for (unsigned i = 0; i < b.tag_lanes; ++i) {
+                if (b.tags[i] != 0)
+                    probes.push_back(b.tags[i]);
             }
-            std::uint32_t valid_bits = 0;
+            for (std::uint32_t tag : probes) {
+                ASSERT_EQ(scan::findWay(b.tags.get(), ways, tag),
+                          scalarFind(b, tag))
+                    << ways << " ways, trial " << t << ", tag " << tag;
+            }
+            std::uint32_t invalid = 0;
             for (unsigned w = 0; w < ways; ++w)
-                valid_bits |= std::uint32_t(isValid(b.entry(w))) << w;
-            ASSERT_EQ(scan::matchBits(b.entries(), ways, 0).valid,
-                      valid_bits);
+                invalid |= std::uint32_t(b.tags[w] == 0) << w;
+            ASSERT_EQ(scan::matchBits(b.tags.get(), ways, 0), invalid)
+                << ways << " ways, trial " << t;
+        }
+    }
+}
+
+TEST(CacheScan, RankTouchKeepsAPermutation)
+{
+    Rng rng(185);
+    for (unsigned ways = 1; ways <= 32; ++ways) {
+        for (int t = 0; t < kTrialsPerWays; ++t) {
+            Block b(ways, rng);
+            std::vector<std::uint8_t> perm(ways);
+            for (unsigned w = 0; w < ways; ++w)
+                perm[w] = std::uint8_t(w);
+            for (unsigned w = ways; w-- > 1;)
+                std::swap(perm[w], perm[rng.below(w + 1)]);
+            std::copy(perm.begin(), perm.end(), b.ranks.get());
+            const std::vector<std::uint8_t> padding(
+                b.ranks.get() + ways, b.ranks.get() + b.rank_lanes);
+
+            for (int touch = 0; touch < 8; ++touch) {
+                const auto way = unsigned(rng.below(ways));
+                std::vector<std::uint8_t> want(b.ranks.get(),
+                                               b.ranks.get() + ways);
+                for (std::uint8_t &r : want)
+                    r -= r > b.ranks[way];
+                want[way] = std::uint8_t(ways - 1);
+
+                scan::rankTouch(b.ranks.get(), ways, way);
+                ASSERT_TRUE(std::equal(want.begin(), want.end(),
+                                       b.ranks.get()))
+                    << ways << " ways, trial " << t << ", way " << way;
+                ASSERT_TRUE(std::equal(padding.begin(), padding.end(),
+                                       b.ranks.get() + ways))
+                    << ways << " ways: a padding lane moved";
+                std::vector<std::uint8_t> sorted = want;
+                std::sort(sorted.begin(), sorted.end());
+                for (unsigned w = 0; w < ways; ++w)
+                    ASSERT_EQ(sorted[w], w) << ways << " ways";
+            }
         }
     }
 }
 
 TEST(CacheScan, LruVictimIsTheKeyMinimum)
 {
+    // Seeded fill / touch / invalidate sequences from a fresh set
+    // (ranks 0..ways-1, stamps 0, all ways invalid), as CacheSystem
+    // drives them; the victim is checked before every step.
     Rng rng(182);
     for (unsigned ways = 1; ways <= 32; ++ways) {
-        for (int t = 0; t < kTrialsPerWays; ++t) {
+        for (int t = 0; t < 40; ++t) {
             Block b(ways, rng);
-            fillSet(b, rng, unsigned(rng.below(3)));
-            for (int m = 0; m < 4; ++m) {
-                const WayMask mask = randomMask(ways, rng);
-                ASSERT_EQ(scan::lruVictim(b.entries(), b.stamps(), ways,
-                                          mask),
-                          scalarVictim(b, mask, false))
-                    << ways << " ways, trial " << t << ", mask 0x"
-                    << std::hex << mask;
+            std::fill_n(b.tags.get(), ways, 0u);
+            for (unsigned w = 0; w < ways; ++w)
+                b.ranks[w] = std::uint8_t(w);
+            std::vector<std::uint64_t> stamp(ways, 0);
+            std::uint64_t clock = 0;
+            std::uint32_t next_tag = 1;
+            auto touch = [&](unsigned w) {
+                scan::rankTouch(b.ranks.get(), ways, w);
+                stamp[w] = ++clock;
+            };
+
+            for (int step = 0; step < 120; ++step) {
+                for (int m = 0; m < 3; ++m) {
+                    const WayMask mask = randomMask(ways, rng);
+                    ASSERT_EQ(scan::lruVictim(b.tags.get(), b.ranks.get(),
+                                              ways, mask),
+                              scalarVictim(b, stamp, mask, false))
+                        << ways << " ways, trial " << t << ", step "
+                        << step << ", mask 0x" << std::hex << mask;
+                }
+                const auto w = unsigned(rng.below(ways));
+                switch (rng.below(4)) {
+                  case 0:
+                    b.tags[w] = 0; // invalidate: the rank stays
+                    break;
+                  case 1:
+                    if (b.tags[w] != 0)
+                        touch(w);
+                    break;
+                  default: {
+                    // Fill the victim of a random non-empty mask.
+                    WayMask mask = randomMask(ways, rng) & scan::lanesOf(ways);
+                    if (mask == 0)
+                        mask = scan::lanesOf(ways);
+                    const int v = scalarVictim(b, stamp, mask, false);
+                    b.tags[v] = next_tag++;
+                    touch(unsigned(v));
+                  }
+                }
             }
         }
     }
@@ -223,12 +270,18 @@ TEST(CacheScan, SrripVictimIsTheKeyMinimum)
     for (unsigned ways = 1; ways <= 32; ++ways) {
         for (int t = 0; t < kTrialsPerWays; ++t) {
             Block b(ways, rng);
-            fillSet(b, rng, 1 + unsigned(rng.below(2)));
+            fillTags(b, rng);
+            std::vector<std::uint64_t> rrpv(ways);
+            for (unsigned w = 0; w < ways; ++w) {
+                b.ranks[w] = rng.chance(0.1) ? 0xFF
+                                             : std::uint8_t(rng.below(5));
+                rrpv[w] = b.ranks[w];
+            }
             for (int m = 0; m < 4; ++m) {
                 const WayMask mask = randomMask(ways, rng);
-                ASSERT_EQ(scan::srripVictim(b.entries(), b.stamps(), ways,
-                                            mask),
-                          scalarVictim(b, mask, true))
+                ASSERT_EQ(scan::srripVictim(b.tags.get(), b.ranks.get(),
+                                            ways, mask),
+                          scalarVictim(b, rrpv, mask, true))
                     << ways << " ways, trial " << t << ", mask 0x"
                     << std::hex << mask;
             }
@@ -236,23 +289,23 @@ TEST(CacheScan, SrripVictimIsTheKeyMinimum)
     }
 }
 
-TEST(CacheScan, AllMaxStampsPickTheLowestWayInTheMask)
+TEST(CacheScan, AllMaxRanksPickTheLowestWayInTheMask)
 {
-    // A valid stamp of 0xFFFF biases to the out-of-mask sentinel, so
-    // the argmin must not hand back an out-of-mask lane that ties it.
+    // The argmin pads out-of-mask lanes with 0xFF, so an in-mask byte
+    // of 0xFF ties them: the hits are ANDed with the mask.
     Rng rng(184);
     for (unsigned ways : {3u, 8u, 11u, 16u, 19u, 25u, 32u}) {
         Block b(ways, rng);
         for (unsigned w = 0; w < ways; ++w) {
-            b.setEntry(w, kValid | w);
-            b.setStamp(w, 0xFFFF);
+            b.tags[w] = 1 + w;
+            b.ranks[w] = 0xFF;
         }
         const WayMask upper = CatController::makeMask(ways / 2, ways - 1);
-        EXPECT_EQ(scan::lruVictim(b.entries(), b.stamps(), ways, upper),
+        EXPECT_EQ(scan::lruVictim(b.tags.get(), b.ranks.get(), ways, upper),
                   int(ways / 2))
             << ways << " ways";
-        b.setStamp(ways - 1, 0xFFFE);
-        EXPECT_EQ(scan::lruVictim(b.entries(), b.stamps(), ways, upper),
+        b.ranks[ways - 1] = 0xFE;
+        EXPECT_EQ(scan::lruVictim(b.tags.get(), b.ranks.get(), ways, upper),
                   int(ways - 1))
             << ways << " ways";
     }
