@@ -58,8 +58,8 @@ for b in "${BENCHES[@]}"; do
   start=$(date +%s.%N)
   "$A4BENCH" "$b" --jobs "$JOBS" --json "$OUT_DIR/$b.json" \
     | tee "$OUT_DIR/$b.txt"
-  # Fractional seconds: checkpoint-restored sweeps finish in well
-  # under a second, which integer $SECONDS arithmetic rounds to 0.
+  # Fractional seconds: short sweeps finish in well under a second,
+  # which integer $SECONDS arithmetic rounds to 0.
   WALL[$b]=$(awk -v a="$start" -v b="$(date +%s.%N)" \
              'BEGIN { printf "%.3f", b - a }')
   # The sweep runner emits a "dispatch" line only when the failure

@@ -22,8 +22,6 @@ void
 CacheSystem::SetBlocks::init(std::size_t sets, unsigned ways,
                              bool with_cores, bool lru)
 {
-    sets_ = sets;
-    ways_ = ways;
     with_cores_ = with_cores;
     rank_off_ = scan::tagBytes(ways);
     flag_off_ = rank_off_ + scan::rankBytes(ways);
@@ -47,50 +45,6 @@ CacheSystem::SetBlocks::init(std::size_t sets, unsigned ways,
                              scan::byteIndex()));
         }
     }
-}
-
-template <typename T>
-void
-CacheSystem::SetBlocks::saveRegion(Serializer &s, std::size_t off,
-                                   bool present) const
-{
-    std::vector<T> v(present ? sets_ * ways_ : 0);
-    for (std::size_t b = 0; b < sets_ && present; ++b)
-        std::memcpy(&v[b * ways_], at(b) + off, sizeof(T) * ways_);
-    s.podVec(v);
-}
-
-template <typename T>
-void
-CacheSystem::SetBlocks::restoreRegion(Deserializer &d, std::size_t off,
-                                      bool present)
-{
-    std::vector<T> v;
-    d.podVec(v);
-    if (v.size() != (present ? sets_ * ways_ : 0))
-        throw SnapshotError("CacheSystem: geometry mismatch");
-    for (std::size_t b = 0; b < sets_ && present; ++b)
-        std::memcpy(at(b) + off, &v[b * ways_], sizeof(T) * ways_);
-}
-
-void
-CacheSystem::SetBlocks::save(Serializer &s) const
-{
-    saveRegion<std::uint32_t>(s, 0, true);
-    saveRegion<std::uint8_t>(s, rank_off_, true);
-    saveRegion<std::uint8_t>(s, flag_off_, true);
-    saveRegion<std::uint16_t>(s, owner_off_, true);
-    saveRegion<std::uint16_t>(s, core_off_, with_cores_);
-}
-
-void
-CacheSystem::SetBlocks::restore(Deserializer &d)
-{
-    restoreRegion<std::uint32_t>(d, 0, true);
-    restoreRegion<std::uint8_t>(d, rank_off_, true);
-    restoreRegion<std::uint8_t>(d, flag_off_, true);
-    restoreRegion<std::uint16_t>(d, owner_off_, true);
-    restoreRegion<std::uint16_t>(d, core_off_, with_cores_);
 }
 
 CacheSystem::CacheSystem(const CacheGeometry &g, const CacheLatencies &l,
@@ -202,10 +156,6 @@ CacheSystem::drainDeferredSlow(Tick now)
     // single merge below.
     if (draining_)
         return;
-    if (deferred_.empty()) {
-        next_deferred_ = kNoDeferredIo; // a restored hint, now moot
-        return;
-    }
     draining_ = true;
     for (;;) {
         // Merge across sources: earliest timestamp wins, attach order
@@ -656,92 +606,6 @@ CacheSystem::llcWayOccupancyOf(WorkloadId id) const
             occ[w2] += lt[w2] != 0 && own[w2] == id;
     }
     return occ;
-}
-
-// --------------------------------------------------------------------
-// Snapshot hooks
-
-namespace
-{
-
-void
-saveCounters(Serializer &s, const WorkloadCounters &c)
-{
-    c.mlc_hit.saveState(s);
-    c.mlc_miss.saveState(s);
-    c.llc_hit.saveState(s);
-    c.llc_miss.saveState(s);
-    c.dma_lines_written.saveState(s);
-    c.dma_write_update.saveState(s);
-    c.dma_write_alloc.saveState(s);
-    c.dma_nonalloc.saveState(s);
-    c.dma_leaked.saveState(s);
-    c.migrated_inclusive.saveState(s);
-    c.bloat_inserts.saveState(s);
-    c.evicted_by_migration.saveState(s);
-    c.mem_read_lines.saveState(s);
-    c.mem_write_lines.saveState(s);
-}
-
-void
-restoreCounters(Deserializer &d, WorkloadCounters &c)
-{
-    c.mlc_hit.restoreState(d);
-    c.mlc_miss.restoreState(d);
-    c.llc_hit.restoreState(d);
-    c.llc_miss.restoreState(d);
-    c.dma_lines_written.restoreState(d);
-    c.dma_write_update.restoreState(d);
-    c.dma_write_alloc.restoreState(d);
-    c.dma_nonalloc.restoreState(d);
-    c.dma_leaked.restoreState(d);
-    c.migrated_inclusive.restoreState(d);
-    c.bloat_inserts.restoreState(d);
-    c.evicted_by_migration.restoreState(d);
-    c.mem_read_lines.restoreState(d);
-    c.mem_write_lines.restoreState(d);
-}
-
-} // namespace
-
-void
-CacheSystem::saveState(Serializer &s) const
-{
-    s.begin("cache");
-    llc_.save(s);
-    mlc_.save(s);
-    s.u64(wl_stats.size());
-    for (const WorkloadCounters &c : wl_stats)
-        saveCounters(s, c);
-    gstats.llc_lookups.saveState(s);
-    gstats.llc_evictions.saveState(s);
-    gstats.llc_writebacks.saveState(s);
-    gstats.dca_evictions.saveState(s);
-    gstats.inclusive_evictions.saveState(s);
-    gstats.egress_inclusive_alloc.saveState(s);
-    s.u64(next_deferred_);
-    s.end("cache");
-}
-
-void
-CacheSystem::restoreState(Deserializer &d)
-{
-    d.begin("cache");
-    llc_.restore(d);
-    mlc_.restore(d);
-    wl_stats.resize(d.u64());
-    for (WorkloadCounters &c : wl_stats)
-        restoreCounters(d, c);
-    gstats.llc_lookups.restoreState(d);
-    gstats.llc_evictions.restoreState(d);
-    gstats.llc_writebacks.restoreState(d);
-    gstats.dca_evictions.restoreState(d);
-    gstats.inclusive_evictions.restoreState(d);
-    gstats.egress_inclusive_alloc.restoreState(d);
-    const Tick saved_next = d.u64();
-    rebuildDeferred();
-    next_deferred_ = std::min(saved_next, next_deferred_);
-    d.end("cache");
 }
 
 } // namespace a4

@@ -94,8 +94,8 @@ inline constexpr Tick kNoDeferredIo = ~Tick(0);
  * merge, or when the source calls CacheSystem::noteDeferredTick().
  * A tick that rises unannounced (a stop) is caught when it wins; a
  * tick that falls unannounced would be missed, so a source must call
- * noteDeferredTick(*this) whenever its tick may decrease ((re)start,
- * a new pending access, restore).
+ * noteDeferredTick(*this) whenever its tick may decrease ((re)start
+ * or a new pending access).
  */
 class DeferredIoSource
 {
@@ -295,23 +295,6 @@ class CacheSystem
     const CacheGeometry &geometry() const { return geom; }
     const CacheLatencies &latencies() const { return lat; }
 
-    /**
-     * @name Snapshot hooks.
-     * Set blocks go as five compact blobs each -- tags, replacement
-     * bytes, flags, owners, MLC cores (empty for the MLCs) -- without
-     * the host padding (geometry-checked on restore); counter banks
-     * element-wise. Deferred-source registration is construction-time
-     * wiring and is not saved -- each source snapshots its own
-     * pending accesses, and next_deferred_ carries the
-     * earliest-pending hint across. Restore rebuilds the merge tree
-     * from the sources and keeps the lower of the saved hint and the
-     * rebuilt root.
-     * @{
-     */
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
-    /** @} */
-
   private:
     /** Per-way flags; a way is valid iff its tag is non-zero. */
     enum Flags : std::uint8_t
@@ -399,10 +382,6 @@ class CacheSystem
                 __builtin_prefetch(at(set) + off);
         }
 
-        /** Each region as one blob, without host padding. */
-        void save(Serializer &s) const;
-        void restore(Deserializer &d);
-
       private:
         struct AlignedFree
         {
@@ -414,22 +393,12 @@ class CacheSystem
             return mem_.get() + set * block_;
         }
 
-        /** One region of every block (@p off into each, ways_ Ts;
-         *  none unless @p present) as one blob. */
-        template <typename T>
-        void saveRegion(Serializer &s, std::size_t off,
-                        bool present) const;
-        template <typename T>
-        void restoreRegion(Deserializer &d, std::size_t off, bool present);
-
         std::unique_ptr<std::byte, AlignedFree> mem_;
-        std::size_t sets_ = 0;
         std::size_t block_ = 0;
         std::size_t rank_off_ = 0;
         std::size_t flag_off_ = 0;
         std::size_t owner_off_ = 0;
         std::size_t core_off_ = 0;
-        unsigned ways_ = 0;
         bool with_cores_ = false;
     };
 

@@ -656,154 +656,4 @@ A4Manager::lpGroupCount() const
     return static_cast<unsigned>(seen.size());
 }
 
-// --- snapshot hooks --------------------------------------------------------
-
-namespace
-{
-
-void
-saveSample(Serializer &s, const WorkloadSample &w)
-{
-    s.u64(w.mlc_hit);
-    s.u64(w.mlc_miss);
-    s.u64(w.llc_hit);
-    s.u64(w.llc_miss);
-    s.u64(w.dma_written);
-    s.u64(w.dma_update);
-    s.u64(w.dma_alloc);
-    s.u64(w.dma_leaked);
-    s.u64(w.dma_nonalloc);
-    s.u64(w.mem_rd_lines);
-    s.u64(w.mem_wr_lines);
-    s.u64(w.bloat_inserts);
-    s.u64(w.migrated);
-}
-
-void
-restoreSample(Deserializer &d, WorkloadSample &w)
-{
-    w.mlc_hit = d.u64();
-    w.mlc_miss = d.u64();
-    w.llc_hit = d.u64();
-    w.llc_miss = d.u64();
-    w.dma_written = d.u64();
-    w.dma_update = d.u64();
-    w.dma_alloc = d.u64();
-    w.dma_leaked = d.u64();
-    w.dma_nonalloc = d.u64();
-    w.mem_rd_lines = d.u64();
-    w.mem_wr_lines = d.u64();
-    w.bloat_inserts = d.u64();
-    w.migrated = d.u64();
-}
-
-} // namespace
-
-void
-A4Manager::saveState(Serializer &s) const
-{
-    s.begin("a4");
-    pcm.saveState(s);
-    s.u64(wls.size());
-    for (const WlState &w : wls) {
-        s.u64(w.desc.id);
-        s.u8(static_cast<std::uint8_t>(w.effective));
-        s.boolean(w.antagonist);
-        s.boolean(w.ddio_off);
-        s.f64(w.baseline_hit);
-        s.f64(w.stable_hit);
-        s.f64(w.miss_at_detect);
-        s.f64(w.ingress_at_detect);
-        s.u32(w.lp_clos);
-        saveSample(s, w.last);
-    }
-    s.u64(last_sys.interval_ns);
-    s.u64(last_sys.mem_rd_bytes);
-    s.u64(last_sys.mem_wr_bytes);
-    s.u64(last_sys.ports.size());
-    for (const PortSample &p : last_sys.ports) {
-        s.u8(static_cast<std::uint8_t>(p.dev_class));
-        s.u64(p.ingress_bytes);
-        s.u64(p.egress_bytes);
-    }
-    s.u8(static_cast<std::uint8_t>(phase_));
-    s.boolean(running);
-    s.boolean(layout_dirty);
-    s.u32(tick_count);
-    s.u32(lp_lo);
-    s.u32(lp_hi);
-    s.u32(lp_init_lo);
-    s.u32(lp_init_hi);
-    s.u32(lp_min_lo);
-    s.u32(saved_lp_lo);
-    s.u32(trash_lo);
-    s.boolean(trash_frozen);
-    s.f64(membw_before_shrink);
-    s.f64(missrate_before_shrink);
-    s.f64(iotp_before_shrink);
-    s.boolean(shrink_pending_check);
-    s.u32(intervals_since_expand);
-    s.u32(stable_count);
-    s.u32(revert_count);
-    periodic_ev.saveQueued(s);
-    s.end("a4");
-}
-
-void
-A4Manager::restoreState(Deserializer &d)
-{
-    d.begin("a4");
-    pcm.restoreState(d);
-    if (d.u64() != wls.size())
-        throw SnapshotError("A4Manager: workload count mismatch");
-    for (WlState &w : wls) {
-        if (d.u64() != w.desc.id)
-            throw SnapshotError("A4Manager: workload id mismatch");
-        w.effective = static_cast<QosPriority>(d.u8());
-        w.antagonist = d.boolean();
-        w.ddio_off = d.boolean();
-        w.baseline_hit = d.f64();
-        w.stable_hit = d.f64();
-        w.miss_at_detect = d.f64();
-        w.ingress_at_detect = d.f64();
-        w.lp_clos = d.u32();
-        restoreSample(d, w.last);
-    }
-    last_sys.interval_ns = d.u64();
-    last_sys.mem_rd_bytes = d.u64();
-    last_sys.mem_wr_bytes = d.u64();
-    last_sys.ports.resize(d.u64());
-    for (PortSample &p : last_sys.ports) {
-        p.dev_class = static_cast<DeviceClass>(d.u8());
-        p.ingress_bytes = d.u64();
-        p.egress_bytes = d.u64();
-    }
-    phase_ = static_cast<Phase>(d.u8());
-    running = d.boolean();
-    layout_dirty = d.boolean();
-    tick_count = d.u32();
-    lp_lo = d.u32();
-    lp_hi = d.u32();
-    lp_init_lo = d.u32();
-    lp_init_hi = d.u32();
-    lp_min_lo = d.u32();
-    saved_lp_lo = d.u32();
-    trash_lo = d.u32();
-    trash_frozen = d.boolean();
-    membw_before_shrink = d.f64();
-    missrate_before_shrink = d.f64();
-    iotp_before_shrink = d.f64();
-    shrink_pending_check = d.boolean();
-    intervals_since_expand = d.u32();
-    stable_count = d.u32();
-    revert_count = d.u32();
-    // The daemon's carrier is lazily initialized by start(); on the
-    // restore path start() is never called, so initialize it here
-    // before re-arming it at its saved key.
-    if (!periodic_ev.initialized())
-        periodic_ev.init(eng, [this] { periodic(); });
-    periodic_ev.restoreQueued(d);
-    d.end("a4");
-}
-
 } // namespace a4

@@ -168,20 +168,6 @@ class A4Manager
     static constexpr unsigned kClosTrash = 4;
     /** @} */
 
-    /**
-     * @name Snapshot hooks.
-     * Registration (the WorkloadDescs) is construction state: the
-     * restore path must addWorkload() the same descriptors in the
-     * same order before restoring, which then reinstates the full
-     * Fig. 9 state machine — phase, zone bounds, detector history,
-     * the PCM monitor's previous-snapshot registers, and the queued
-     * periodic firing.
-     * @{
-     */
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
-    /** @} */
-
   private:
     struct WlState
     {

@@ -161,13 +161,11 @@ class Measurement
     }
 
     /**
-     * @name Phased protocol (the checkpoint layer's entry points).
-     * A cold run is startAndWarm() -> beginMeasure() -> runMeasure();
-     * a checkpoint is saved between the first two, and a restored run
-     * skips startAndWarm() entirely — the restored state already sits
-     * at the warm-up boundary, deferred arrivals included (they are
-     * applied by beginMeasure()'s sampling, exactly as in a cold
-     * run).
+     * @name Phased protocol.
+     * run() is startAndWarm() -> beginMeasure() -> runMeasure();
+     * callers that time the warm-up and the measurement window
+     * separately (runSpec's wall split, a4perf's spans) call the
+     * phases themselves.
      * @{
      */
 

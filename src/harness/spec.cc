@@ -12,7 +12,6 @@
 #include <unordered_map>
 
 #include "harness/builders.hh"
-#include "harness/checkpoint.hh"
 #include "harness/fleet.hh"
 #include "sim/log.hh"
 #include "sim/rng.hh"
@@ -1282,20 +1281,11 @@ SpecResult::toGbps(double bytes) const
 namespace
 {
 
-/**
- * One construction + run attempt. @p restore_payload non-null: skip
- * scheme programming and every start() call, restore the warm-up
- * image instead (throws SnapshotError on mismatch — the caller
- * retries cold). @p save_path non-null (cold runs only): snapshot at
- * the warm-up boundary and publish the image.
- */
+/** Construct, program, warm up, measure and collect one validated,
+ *  replica-expanded spec. */
 SpecResult
-runSpecAttempt(const ScenarioSpec &spec, const Windows &win,
-               const std::string *restore_payload,
-               const std::string *save_path,
-               const std::string *key_text)
+runExpandedSpec(const ScenarioSpec &spec, const Windows &win)
 {
-    const bool restoring = restore_payload != nullptr;
     const auto t0 = std::chrono::steady_clock::now();
 
     ServerConfig server_cfg = ServerConfig::fast();
@@ -1343,13 +1333,10 @@ runSpecAttempt(const ScenarioSpec &spec, const Windows &win,
         by_index[idx] = &wl;
     }
 
-    // Per-port DCA disable (the Fig. 8 I/O-device-aware knob). On the
-    // restore path the flips live in the serialized DDIO state.
-    if (!restoring) {
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!spec.workloads[i].dca)
-                bed.ddio().disableDcaForPort(by_index[i]->ioPort());
-        }
+    // Per-port DCA disable (the Fig. 8 I/O-device-aware knob).
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!spec.workloads[i].dca)
+            bed.ddio().disableDcaForPort(by_index[i]->ioPort());
     }
 
     // Registration order is list order, like every historical runner.
@@ -1362,11 +1349,7 @@ runSpecAttempt(const ScenarioSpec &spec, const Windows &win,
                                               : QosPriority::Low));
     }
 
-    // Scheme programming. A restore skips the register writes (CAT /
-    // DDIO state is in the image) but still *constructs* the A4
-    // daemon and registers the descriptors — registration is
-    // construction state; the daemon's mutable state (and its queued
-    // periodic firing) comes from the image instead of start().
+    // Scheme programming.
     std::unique_ptr<A4Manager> mgr;
     if (spec.scheme != Scheme::Static &&
         spec.scheme != Scheme::Default &&
@@ -1378,9 +1361,8 @@ runSpecAttempt(const ScenarioSpec &spec, const Windows &win,
                       spec.a4 ? *spec.a4 : scenarioA4Defaults()));
         for (const WorkloadDesc &d : descs)
             mgr->addWorkload(d);
-        if (!restoring)
-            mgr->start();
-    } else if (spec.scheme == Scheme::Static && !restoring) {
+        mgr->start();
+    } else if (spec.scheme == Scheme::Static) {
         // Motivation-figure setup: no manager; pins programmed
         // directly, CLOS 1, 2, ... in list order — the historical
         // pinWays() testbeds bit for bit.
@@ -1395,10 +1377,10 @@ runSpecAttempt(const ScenarioSpec &spec, const Windows &win,
                 bed.cat().assignCore(c, clos);
             ++clos;
         }
-    } else if (spec.scheme == Scheme::Default && !restoring) {
+    } else if (spec.scheme == Scheme::Default) {
         DefaultManager dm(bed.cat());
         dm.start();
-    } else if (spec.scheme == Scheme::Isolate && !restoring) {
+    } else if (spec.scheme == Scheme::Isolate) {
         IsolateManager im(bed.cat());
         // Pinned entries first (IsolateManager's pins parallel the
         // pinned prefix), auto-partitioned entries after, both in
@@ -1418,25 +1400,7 @@ runSpecAttempt(const ScenarioSpec &spec, const Windows &win,
 
     std::vector<Workload *> tracked(by_index.begin(), by_index.end());
     Measurement m(bed, tracked, win);
-    if (restoring) {
-        restoreWarmupImage(*restore_payload, bed, mgr.get());
-    } else {
-        m.startAndWarm();
-        if (save_path) {
-            try {
-                storeWarmupImage(*save_path, *key_text,
-                                 saveWarmupImage(bed, mgr.get()));
-            } catch (const SnapshotError &e) {
-                // Unsnapshottable state (e.g. an untagged in-flight
-                // completion): the run itself is unaffected.
-                static std::string warned;
-                warnOncePerValue(warned, e.what(),
-                                 "warning: A4_CKPT_DIR: cannot "
-                                 "snapshot warm-up (%s); continuing "
-                                 "without\n");
-            }
-        }
-    }
+    m.startAndWarm();
     const auto t_warm = std::chrono::steady_clock::now();
     m.beginMeasure();
     m.runMeasure();
@@ -1519,34 +1483,12 @@ runSpecWithWindows(const ScenarioSpec &raw_spec, const Windows &win)
     validateSpec(raw_spec,
                  raw_spec.name.empty() ? "<spec>" : raw_spec.name);
     // Tenant replication expands before anything consumes the spec,
-    // so the run — and the checkpoint identity — is the expanded
-    // canonical form.
+    // so the run is the expanded canonical form.
     const ScenarioSpec spec = expandReplicas(raw_spec);
     if (spec.workloads.empty())
         fatal(sformat("spec '%s': no workloads",
                       spec.name.empty() ? "<spec>" : spec.name.c_str()));
-
-    const std::string dir = checkpointDir();
-    if (dir.empty() || buildTag().empty())
-        return runSpecAttempt(spec, win, nullptr, nullptr, nullptr);
-
-    const std::string key_text = checkpointKeyText(spec, win.warmup);
-    const std::string path = checkpointPath(dir, key_text);
-    std::string payload;
-    if (loadWarmupImage(path, key_text, payload)) {
-        try {
-            return runSpecAttempt(spec, win, &payload, nullptr,
-                                  nullptr);
-        } catch (const SnapshotError &e) {
-            // A mid-restore failure leaves the attempt's testbed in an
-            // undefined state; the retry below rebuilds from scratch.
-            static std::string warned;
-            warnOncePerValue(warned, e.what(),
-                             "warning: A4_CKPT_DIR: restore failed "
-                             "(%s); running cold\n");
-        }
-    }
-    return runSpecAttempt(spec, win, nullptr, &path, &key_text);
+    return runExpandedSpec(spec, win);
 }
 
 SpecResult

@@ -178,8 +178,7 @@ std::string serializeSpec(const ScenarioSpec &spec);
  * expansion is deterministic and seed streams are disjoint. A spec
  * with no multiplier is returned unchanged. runSpec() expands
  * internally; the helper is exposed so tests and tools can inspect
- * the expansion (the checkpoint key and results use the expanded
- * names).
+ * the expansion (results use the expanded names).
  */
 ScenarioSpec expandReplicas(const ScenarioSpec &spec);
 
@@ -257,7 +256,7 @@ struct SpecResult
 
     /**
      * Host wall clock (seconds) split at the warm-up boundary:
-     * construct + warm-up (or restore) vs. the measurement window.
+     * construct + warm-up vs. the measurement window.
      * Diagnostics only — deliberately kept out of the deterministic
      * "metrics" section of the --json output.
      */

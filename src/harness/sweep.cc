@@ -10,7 +10,6 @@
 #include <optional>
 #include <thread>
 
-#include "harness/checkpoint.hh"
 #include "harness/experiment.hh"
 #include "harness/spec.hh"
 #include "harness/table.hh"
@@ -379,8 +378,6 @@ Sweep::run()
     NicConfig::burstFromEnv();
     SsdConfig::lazyFromEnv();
     envSeed();
-    if (!checkpointDir().empty())
-        buildTag(); // hash the executable once, before forking
 
     jobs_used_ =
         std::min<std::size_t>(opt_.effectiveJobs(),

@@ -39,56 +39,6 @@ Testbed::addSsd(SsdConfig ssd_cfg, const std::string &name)
     return *ssds_.back();
 }
 
-void
-Testbed::saveState(Serializer &s) const
-{
-    s.begin("testbed");
-    dram_.saveState(s);
-    cat_.saveState(s);
-    ddio_.saveState(s);
-    pcie_.saveState(s);
-    cache_->saveState(s);
-    s.u64(nics_.size());
-    for (const auto &nic : nics_)
-        nic->saveState(s);
-    s.u64(ssds_.size());
-    for (const auto &ssd : ssds_)
-        ssd->saveState(s);
-    s.u64(workloads_.size());
-    for (const auto &w : workloads_) {
-        s.str(w->name());
-        w->saveState(s);
-    }
-    s.end("testbed");
-}
-
-void
-Testbed::restoreState(Deserializer &d)
-{
-    d.begin("testbed");
-    dram_.restoreState(d);
-    cat_.restoreState(d);
-    ddio_.restoreState(d);
-    pcie_.restoreState(d);
-    cache_->restoreState(d);
-    if (d.u64() != nics_.size())
-        throw SnapshotError("Testbed: NIC count mismatch");
-    for (auto &nic : nics_)
-        nic->restoreState(d);
-    if (d.u64() != ssds_.size())
-        throw SnapshotError("Testbed: SSD count mismatch");
-    for (auto &ssd : ssds_)
-        ssd->restoreState(d);
-    if (d.u64() != workloads_.size())
-        throw SnapshotError("Testbed: workload count mismatch");
-    for (auto &w : workloads_) {
-        if (d.str() != w->name())
-            throw SnapshotError("Testbed: workload name mismatch");
-        w->restoreState(d);
-    }
-    d.end("testbed");
-}
-
 std::vector<CoreId>
 Testbed::allocCores(unsigned n)
 {

@@ -162,18 +162,6 @@ class Testbed
         eng.runFor(duration);
     }
 
-    /**
-     * @name Snapshot hooks.
-     * Walks every owned substrate and workload in construction order
-     * (the Engine itself is bracketed separately by the caller via
-     * saveBegin/saveEnd — see checkpoint.hh). The restoring testbed
-     * must have been assembled by the identical construction sequence.
-     * @{
-     */
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
-    /** @} */
-
   private:
     ServerConfig cfg;
     Engine eng;

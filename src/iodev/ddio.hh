@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/serialize.hh"
 #include "sim/types.hh"
 
 namespace a4
@@ -71,35 +70,6 @@ class DdioController
     {
         return static_cast<unsigned>(regs.size());
     }
-
-    /** @name Snapshot hooks: register images + the BIOS knob. @{ */
-    void
-    saveState(Serializer &s) const
-    {
-        s.begin("ddio");
-        s.u64(regs.size());
-        for (const PerfCtrlSts &r : regs) {
-            s.boolean(r.no_snoop_op_wr_en);
-            s.boolean(r.use_allocating_flow_wr);
-        }
-        s.boolean(bios_dca);
-        s.end("ddio");
-    }
-
-    void
-    restoreState(Deserializer &d)
-    {
-        d.begin("ddio");
-        if (d.u64() != regs.size())
-            throw SnapshotError("DdioController: port count mismatch");
-        for (PerfCtrlSts &r : regs) {
-            r.no_snoop_op_wr_en = d.boolean();
-            r.use_allocating_flow_wr = d.boolean();
-        }
-        bios_dca = d.boolean();
-        d.end("ddio");
-    }
-    /** @} */
 
   private:
     std::vector<PerfCtrlSts> regs;

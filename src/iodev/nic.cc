@@ -229,69 +229,4 @@ Nic::tx(Addr addr, unsigned bytes, unsigned q)
     tx_pkts.inc();
 }
 
-void
-Nic::saveState(Serializer &s) const
-{
-    s.begin("nic");
-    rng.saveState(s);
-    s.boolean(running);
-    s.u64(gen_seq);
-    s.u64(applied);
-    s.u64(reported);
-    s.u64(queues.size());
-    for (const Queue &q : queues) {
-        s.u64(q.pending.size());
-        for (const RxPacket &p : q.pending) {
-            s.u64(p.arrival);
-            s.u64(p.buf);
-            s.u32(p.bytes);
-        }
-        s.u32(q.next_slot);
-        s.u64(q.next_tick);
-        s.u64(q.next_seq);
-    }
-    step_ev.saveQueued(s);
-    burst_ev.saveState(s);
-    delivered_pkts.saveState(s);
-    dropped_pkts.saveState(s);
-    tx_pkts.saveState(s);
-    s.end("nic");
-}
-
-void
-Nic::restoreState(Deserializer &d)
-{
-    d.begin("nic");
-    rng.restoreState(d);
-    running = d.boolean();
-    gen_seq = d.u64();
-    applied = d.u64();
-    reported = d.u64();
-    if (d.u64() != queues.size())
-        throw SnapshotError("Nic: queue count mismatch");
-    for (Queue &q : queues) {
-        q.pending.clear();
-        const std::uint64_t n = d.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            RxPacket p;
-            p.arrival = d.u64();
-            p.buf = d.u64();
-            p.bytes = d.u32();
-            q.pending.push_back(p);
-        }
-        q.next_slot = d.u32();
-        q.next_tick = d.u64();
-        q.next_seq = d.u64();
-    }
-    step_ev.restoreQueued(d);
-    burst_ev.restoreState(d);
-    delivered_pkts.restoreState(d);
-    dropped_pkts.restoreState(d);
-    tx_pkts.restoreState(d);
-    // Our tick may have moved either way: refresh our leaf in the
-    // cache's merge (the cache may have rebuilt it before we ran).
-    csys.noteDeferredTick(*this);
-    d.end("nic");
-}
-
 } // namespace a4

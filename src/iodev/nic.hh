@@ -147,18 +147,6 @@ class Nic : public DeferredIoSource
     void applyDeferredAccess() override;
     /** @} */
 
-    /**
-     * @name Snapshot hooks.
-     * Saves ring contents, the per-queue pending-arrival merge state,
-     * the shared RNG, and whichever carrier (per-packet Recurring or
-     * burst Batch) is live. Ring-slot addresses and queue consumers
-     * are construction-time wiring and are not saved.
-     * @{
-     */
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
-    /** @} */
-
   private:
     struct Queue
     {

@@ -66,20 +66,20 @@ SsdArray::~SsdArray()
 void
 SsdArray::submitRead(Tick now, Addr buf, std::uint64_t bytes,
                      WorkloadId owner, std::vector<CoreId> consumers,
-                     Completion done, IoTag tag)
+                     Completion done)
 {
     queue.push_back(Command{true, buf, bytes, owner, std::move(consumers),
-                            std::move(done), tag, 0});
+                            std::move(done), 0});
     tryStart(now);
 }
 
 void
 SsdArray::submitWrite(Tick now, Addr buf, std::uint64_t bytes,
                       WorkloadId owner, std::vector<CoreId> cores,
-                      Completion done, IoTag tag)
+                      Completion done)
 {
     queue.push_back(Command{false, buf, bytes, owner, std::move(cores),
-                            std::move(done), tag, 0});
+                            std::move(done), 0});
     tryStart(now);
 }
 
@@ -184,111 +184,6 @@ SsdArray::completedWrites()
 {
     csys.drainDeferred(eng.now());
     return writes_done;
-}
-
-void
-SsdArray::saveState(Serializer &s) const
-{
-    auto saveCommand = [&s](const Command &cmd) {
-        // A live command whose completion cannot be rebuilt from a
-        // tag makes the whole image unusable — abort the snapshot
-        // (the caller falls back to a cold run).
-        if (cmd.done && !cmd.tag.valid)
-            throw SnapshotError(
-                "SsdArray: live command has an untagged completion");
-        s.boolean(cmd.is_read);
-        s.u64(cmd.buf);
-        s.u64(cmd.bytes);
-        s.u64(cmd.owner);
-        s.podVec(cmd.cores);
-        s.u64(cmd.done_at);
-        s.boolean(static_cast<bool>(cmd.done));
-        if (cmd.done) {
-            s.u64(cmd.tag.a);
-            s.u64(cmd.tag.b);
-            s.u64(cmd.tag.c);
-        }
-    };
-
-    s.begin("ssd");
-    s.u32(active);
-    s.u64(link_free_at);
-    s.u64(queue.size());
-    for (const Command &cmd : queue)
-        saveCommand(cmd);
-    // Live in-flight slots are exactly the pending_done entries (a
-    // command leaves its slot only through finish(), which frees it);
-    // saving the slot *indices* preserves the recycling order, which
-    // a bit-identical restored run must replay.
-    s.u64(inflight.size());
-    s.podVec(free_slots);
-    s.u64(pending_done.size());
-    for (std::uint32_t slot : pending_done)
-        s.u32(slot);
-    for (std::uint32_t slot : pending_done)
-        saveCommand(inflight[slot]);
-    s.boolean(step_armed);
-    step_ev.saveQueued(s);
-    reads_done.saveState(s);
-    writes_done.saveState(s);
-    s.end("ssd");
-}
-
-void
-SsdArray::restoreState(Deserializer &d)
-{
-    auto restoreCommand = [this, &d]() -> Command {
-        Command cmd;
-        cmd.is_read = d.boolean();
-        cmd.buf = d.u64();
-        cmd.bytes = d.u64();
-        cmd.owner = static_cast<WorkloadId>(d.u64());
-        d.podVec(cmd.cores);
-        cmd.done_at = d.u64();
-        if (d.boolean()) {
-            cmd.tag.a = d.u64();
-            cmd.tag.b = d.u64();
-            cmd.tag.c = d.u64();
-            cmd.tag.valid = true;
-            auto it = resolvers.find(cmd.owner);
-            if (it == resolvers.end())
-                throw SnapshotError(sformat(
-                    "SsdArray: no completion resolver for workload %u",
-                    unsigned(cmd.owner)));
-            cmd.done = it->second(cmd.tag);
-            if (!cmd.done)
-                throw SnapshotError(
-                    "SsdArray: resolver rejected a saved IoTag");
-        }
-        return cmd;
-    };
-
-    d.begin("ssd");
-    active = d.u32();
-    link_free_at = d.u64();
-    queue.clear();
-    const std::uint64_t queued = d.u64();
-    for (std::uint64_t i = 0; i < queued; ++i)
-        queue.push_back(restoreCommand());
-    inflight.clear();
-    inflight.resize(d.u64());
-    d.podVec(free_slots);
-    pending_done.clear();
-    const std::uint64_t pending = d.u64();
-    for (std::uint64_t i = 0; i < pending; ++i) {
-        const std::uint32_t slot = d.u32();
-        if (slot >= inflight.size())
-            throw SnapshotError("SsdArray: pending slot out of range");
-        pending_done.push_back(slot);
-    }
-    for (std::uint32_t slot : pending_done)
-        inflight[slot] = restoreCommand();
-    step_armed = d.boolean();
-    step_ev.restoreQueued(d);
-    reads_done.restoreState(d);
-    writes_done.restoreState(d);
-    csys.noteDeferredTick(*this); // see Nic::restoreState
-    d.end("ssd");
 }
 
 } // namespace a4

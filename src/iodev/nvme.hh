@@ -55,12 +55,10 @@
 #include <deque>
 #include <functional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "iodev/dma.hh"
 #include "sim/engine.hh"
-#include "sim/serialize.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -98,25 +96,6 @@ struct SsdConfig
     static bool lazyFromEnv();
 };
 
-/**
- * Serializable identity of a completion callback.
- *
- * Completions are closures and cannot be snapshotted; a submitter
- * that wants its in-flight commands to survive a checkpoint passes a
- * tag (three opaque words, meaningful only to the submitter) and
- * registers a resolver that rebuilds the callback from the tag on
- * restore. Untagged commands still work — they just abort any
- * snapshot taken while they are queued or in flight (cold-run
- * fallback).
- */
-struct IoTag
-{
-    std::uint64_t a = 0;
-    std::uint64_t b = 0;
-    std::uint64_t c = 0;
-    bool valid = false;
-};
-
 /** NVMe SSD array with read (ingress DMA) and write (egress) commands. */
 class SsdArray : public DeferredIoSource
 {
@@ -125,9 +104,6 @@ class SsdArray : public DeferredIoSource
      *  tick (<= Engine::now() under lazy delivery — use it, not
      *  now(), for latency accounting and chained submissions). */
     using Completion = std::function<void(Tick done_at)>;
-
-    /** Rebuilds a completion callback from its saved IoTag. */
-    using CompletionResolver = std::function<Completion(const IoTag &)>;
 
     SsdArray(Engine &eng, DmaEngine &dma, PortId port,
              const SsdConfig &cfg);
@@ -147,7 +123,7 @@ class SsdArray : public DeferredIoSource
      */
     void submitRead(Tick now, Addr buf, std::uint64_t bytes,
                     WorkloadId owner, std::vector<CoreId> consumers,
-                    Completion done, IoTag tag = {});
+                    Completion done);
 
     /**
      * Submit a write at time @p now: the device DMA-reads @p bytes
@@ -155,14 +131,7 @@ class SsdArray : public DeferredIoSource
      */
     void submitWrite(Tick now, Addr buf, std::uint64_t bytes,
                      WorkloadId owner, std::vector<CoreId> cores,
-                     Completion done, IoTag tag = {});
-
-    /** Register @p owner's completion resolver (snapshot restore). */
-    void
-    registerResolver(WorkloadId owner, CompletionResolver resolver)
-    {
-        resolvers[owner] = std::move(resolver);
-    }
+                     Completion done);
 
     /** Commands currently in flight inside the device (reading
      *  applies completions up to Engine::now() first). */
@@ -182,17 +151,6 @@ class SsdArray : public DeferredIoSource
     void applyDeferredAccess() override;
     /** @} */
 
-    /**
-     * @name Snapshot hooks.
-     * Queued and in-flight commands round-trip through their IoTags
-     * (the registered resolvers rebuild the callbacks); a live
-     * command without a valid tag aborts the snapshot.
-     * @{
-     */
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
-    /** @} */
-
   private:
     struct Command
     {
@@ -202,7 +160,6 @@ class SsdArray : public DeferredIoSource
         WorkloadId owner;
         std::vector<CoreId> cores;
         Completion done;
-        IoTag tag;        ///< serializable identity of `done`
         Tick done_at = 0; ///< completion tick (set at start)
     };
 
@@ -231,8 +188,6 @@ class SsdArray : public DeferredIoSource
 
     Engine::Recurring step_ev; ///< per-completion carrier (lazy off)
     bool step_armed = false;
-
-    std::unordered_map<WorkloadId, CompletionResolver> resolvers;
 
     SnapshotCounter reads_done;
     SnapshotCounter writes_done;

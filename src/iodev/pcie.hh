@@ -69,37 +69,6 @@ class PcieTopology
         return static_cast<unsigned>(ports_.size());
     }
 
-    /** @name Snapshot hooks: traffic counters (names/classes are
-     *  construction-derived and only verified). @{ */
-    void
-    saveState(Serializer &s) const
-    {
-        s.begin("pcie");
-        s.u64(ports_.size());
-        for (const PciePort &p : ports_) {
-            s.str(p.name);
-            p.ingress_bytes.saveState(s);
-            p.egress_bytes.saveState(s);
-        }
-        s.end("pcie");
-    }
-
-    void
-    restoreState(Deserializer &d)
-    {
-        d.begin("pcie");
-        if (d.u64() != ports_.size())
-            throw SnapshotError("PcieTopology: port count mismatch");
-        for (PciePort &p : ports_) {
-            if (d.str() != p.name)
-                throw SnapshotError("PcieTopology: port name mismatch");
-            p.ingress_bytes.restoreState(d);
-            p.egress_bytes.restoreState(d);
-        }
-        d.end("pcie");
-    }
-    /** @} */
-
   private:
     std::vector<PciePort> ports_;
 };

@@ -67,32 +67,6 @@ class Dram
 
     const DramConfig &config() const { return cfg; }
 
-    /** @name Snapshot hooks: counters + the utilisation window. @{ */
-    void
-    saveState(Serializer &s) const
-    {
-        s.begin("dram");
-        rd_bytes.saveState(s);
-        wr_bytes.saveState(s);
-        s.u64(window_start);
-        s.u64(cur_window_bytes);
-        s.u64(prev_window_bytes);
-        s.end("dram");
-    }
-
-    void
-    restoreState(Deserializer &d)
-    {
-        d.begin("dram");
-        rd_bytes.restoreState(d);
-        wr_bytes.restoreState(d);
-        window_start = d.u64();
-        cur_window_bytes = d.u64();
-        prev_window_bytes = d.u64();
-        d.end("dram");
-    }
-    /** @} */
-
   private:
     void roll(Tick now) const;
 

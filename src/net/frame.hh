@@ -56,8 +56,7 @@ constexpr std::size_t kFrameOverhead = kFrameHeaderSize + 8;
  *  largest sweeps is a few hundred KB; 256 MiB is sabotage). */
 constexpr std::size_t kFrameMaxPayload = std::size_t(1) << 28;
 
-/** FNV-1a-64 — the repo-wide content checksum (checkpoint images use
- *  the same function for their filenames and payload sums). */
+/** FNV-1a-64 — the frame checksum. */
 std::uint64_t fnv1a64(const void *data, std::size_t len);
 std::uint64_t fnv1a64(const std::string &data);
 

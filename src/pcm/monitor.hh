@@ -31,7 +31,6 @@
 #include "iodev/pcie.hh"
 #include "mem/dram.hh"
 #include "sim/engine.hh"
-#include "sim/serialize.hh"
 
 namespace a4
 {
@@ -152,82 +151,6 @@ class PcmMonitor
 
     /** Delta of system-wide counters since the last system sample. */
     SystemSample sampleSystem();
-
-    /** @name Snapshot hooks: previous-snapshot registers, written in
-     *  sorted workload order for a deterministic stream. @{ */
-    void
-    saveState(Serializer &s) const
-    {
-        s.begin("pcm");
-        std::vector<WorkloadId> ids;
-        ids.reserve(prev_wl.size());
-        for (const auto &[id, prev] : prev_wl)
-            ids.push_back(id);
-        std::sort(ids.begin(), ids.end());
-        s.u64(ids.size());
-        for (WorkloadId id : ids) {
-            const WlPrev &p = prev_wl.at(id);
-            s.u64(id);
-            s.u64(p.mlc_hit);
-            s.u64(p.mlc_miss);
-            s.u64(p.llc_hit);
-            s.u64(p.llc_miss);
-            s.u64(p.dma_written);
-            s.u64(p.dma_update);
-            s.u64(p.dma_alloc);
-            s.u64(p.dma_leaked);
-            s.u64(p.dma_nonalloc);
-            s.u64(p.mem_rd);
-            s.u64(p.mem_wr);
-            s.u64(p.bloat);
-            s.u64(p.migrated);
-        }
-        s.u64(prev_ports.size());
-        for (const PortPrev &p : prev_ports) {
-            s.u64(p.ingress);
-            s.u64(p.egress);
-        }
-        s.u64(prev_rd);
-        s.u64(prev_wr);
-        s.u64(prev_time);
-        s.end("pcm");
-    }
-
-    void
-    restoreState(Deserializer &d)
-    {
-        d.begin("pcm");
-        prev_wl.clear();
-        const std::uint64_t n = d.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const auto id = static_cast<WorkloadId>(d.u64());
-            WlPrev p;
-            p.mlc_hit = d.u64();
-            p.mlc_miss = d.u64();
-            p.llc_hit = d.u64();
-            p.llc_miss = d.u64();
-            p.dma_written = d.u64();
-            p.dma_update = d.u64();
-            p.dma_alloc = d.u64();
-            p.dma_leaked = d.u64();
-            p.dma_nonalloc = d.u64();
-            p.mem_rd = d.u64();
-            p.mem_wr = d.u64();
-            p.bloat = d.u64();
-            p.migrated = d.u64();
-            prev_wl.emplace(id, p);
-        }
-        prev_ports.resize(d.u64());
-        for (PortPrev &p : prev_ports) {
-            p.ingress = d.u64();
-            p.egress = d.u64();
-        }
-        prev_rd = d.u64();
-        prev_wr = d.u64();
-        prev_time = d.u64();
-        d.end("pcm");
-    }
-    /** @} */
 
   private:
     struct WlPrev

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/serialize.hh"
 #include "sim/types.hh"
 
 namespace a4
@@ -84,30 +83,6 @@ class CatController
 
     /** Render in the paper's hex convention (way 0 = MSB). */
     std::string paperHex(WayMask mask) const;
-
-    /** @name Snapshot hooks: CLOS masks + core association. @{ */
-    void
-    saveState(Serializer &s) const
-    {
-        s.begin("cat");
-        s.podVec(masks);
-        s.podVec(core_clos);
-        s.end("cat");
-    }
-
-    void
-    restoreState(Deserializer &d)
-    {
-        d.begin("cat");
-        const std::size_t n_clos = masks.size();
-        const std::size_t n_cores = core_clos.size();
-        d.podVec(masks);
-        d.podVec(core_clos);
-        if (masks.size() != n_clos || core_clos.size() != n_cores)
-            throw SnapshotError("CatController: geometry mismatch");
-        d.end("cat");
-    }
-    /** @} */
 
   private:
     void checkClos(unsigned clos) const;

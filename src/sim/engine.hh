@@ -18,11 +18,10 @@
  * key-sorted by construction. A FIFO keeps its delay while it holds
  * events and is re-keyed only when empty; when no FIFO fits, the
  * event goes to the heap, as do absolute schedules (scheduleAt,
- * armAt, restored keys) and displaced fronts. Refilling the front
- * takes the least of the heap top and the FIFO heads, so the pop
- * order is the one total (tick, seq) order: the FIFOs only make
- * fixed-period actors (poll loops, batch pumps) O(1) instead of a
- * heap sift. Self-rescheduling actors use Engine::Recurring, which
+ * armAt) and displaced fronts. Refilling the front takes the least
+ * of the heap top and the FIFO heads, so the pop order is the one
+ * total (tick, seq) order: the FIFOs only make fixed-period actors
+ * (poll loops, batch pumps) O(1) instead of a heap sift. Self-rescheduling actors use Engine::Recurring, which
  * installs its callback once and re-arms the same slot, so
  * steady-state actors never re-construct closures.
  * Slots carry a generation counter: cancelling or re-initialising an
@@ -40,7 +39,6 @@
 #include <functional>
 #include <memory>
 #include <queue>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -49,9 +47,6 @@
 
 namespace a4
 {
-
-class Serializer;
-class Deserializer;
 
 /** Deterministic single-threaded discrete-event engine. */
 class Engine
@@ -137,42 +132,6 @@ class Engine
     class Recurring;
     class Batch;
 
-    /**
-     * @name Snapshot protocol.
-     *
-     * Callbacks are closures and cannot be serialized, so the engine
-     * does not save the queue wholesale. Instead each component
-     * re-arms its own Recurring events at their exact saved
-     * (tick, seq) keys — exact keys are mandatory because re-arming
-     * in a fixed component order could invert the firing order of
-     * same-tick events queued in a different order before the save.
-     * The engine brackets the component walk with an accounting pass:
-     *
-     *  - saveBegin() writes the scalar counters and indexes every
-     *    *live* queued event by slot (cancelled generations are
-     *    dropped — they could never fire anyway). A live event in a
-     *    non-recurring slot aborts the snapshot: its closure fires
-     *    once and cannot be rebuilt.
-     *  - Each Recurring::saveQueued() claims its slot's keys from
-     *    the index; saveEnd() fails if any live event was never
-     *    claimed, so no component's state can silently fall out of
-     *    the snapshot.
-     *  - restoreBegin() requires a fresh engine (nothing queued),
-     *    restores the scalars — including next_seq, so the key
-     *    sequence continues exactly where the saved run left off —
-     *    and counts down as Recurring::restoreQueued() re-arms each
-     *    saved key; restoreEnd() fails unless every key came back.
-     *
-     * Any violation throws SnapshotError; callers fall back to a
-     * cold run.
-     * @{
-     */
-    void saveBegin(Serializer &s);
-    void saveEnd(Serializer &s);
-    void restoreBegin(Deserializer &d);
-    void restoreEnd(Deserializer &d);
-    /** @} */
-
   private:
     static constexpr std::uint32_t kChunkSlots = 256;
     /** Delay FIFOs beside the heap (see the file comment). */
@@ -238,13 +197,6 @@ class Engine
 
     void growSlab();
     Tick checkWhen(Tick when);
-
-    /** @name Snapshot internals (see the protocol note above). @{ */
-    /** Remove and return (sorted) the live keys queued on @p slot. */
-    std::vector<unsigned __int128> claimQueuedKeys(const Slot *slot);
-    /** Re-enqueue one saved key on @p slot, bypassing makeKey(). */
-    void armRestoredKey(unsigned __int128 key, Slot *slot);
-    /** @} */
 
     /**
      * Keep the invariant that `front` holds the minimum pending event:
@@ -389,15 +341,6 @@ class Engine
     std::uint64_t past_events = 0;
     std::uint64_t batch_firings = 0;
     std::uint64_t batch_expanded = 0;
-
-    // Transient snapshot accounting, live only between
-    // saveBegin/saveEnd (resp. restoreBegin/restoreEnd).
-    std::unordered_map<const Slot *, std::vector<unsigned __int128>>
-        save_index_;
-    std::size_t save_unclaimed_ = 0;
-    std::uint64_t restore_expected_ = 0;
-    bool in_save_ = false;
-    bool in_restore_ = false;
 };
 
 /**
@@ -490,18 +433,6 @@ class Engine::Recurring
         }
     }
 
-    /**
-     * @name Snapshot hooks.
-     * saveQueued() claims this slot's live firings from the engine's
-     * save index and writes their exact keys; restoreQueued() re-arms
-     * them verbatim on a freshly init()ed slot (the callback itself
-     * is re-installed by the owning component's constructor).
-     * @{
-     */
-    void saveQueued(Serializer &s) const;
-    void restoreQueued(Deserializer &d);
-    /** @} */
-
   private:
     Engine *eng_ = nullptr;
     Slot *slot_ = nullptr;
@@ -572,11 +503,6 @@ class Engine::Batch
 
     bool active() const { return active_; }
     Tick period() const { return period_; }
-
-    /** @name Snapshot hooks (interval state + the pump's firings). @{ */
-    void saveState(Serializer &s) const;
-    void restoreState(Deserializer &d);
-    /** @} */
 
   private:
     void

@@ -13,8 +13,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "sim/serialize.hh"
-
 namespace a4
 {
 
@@ -81,22 +79,6 @@ class Rng
     {
         return uniform() < p;
     }
-
-    /** @name Snapshot hooks: the four state words verbatim. @{ */
-    void
-    saveState(Serializer &s) const
-    {
-        for (std::uint64_t word : state)
-            s.u64(word);
-    }
-
-    void
-    restoreState(Deserializer &d)
-    {
-        for (auto &word : state)
-            word = d.u64();
-    }
-    /** @} */
 
   private:
     static std::uint64_t

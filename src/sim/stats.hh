@@ -47,38 +47,6 @@ class LatencyStat
      */
     double percentile(double p) const;
 
-    /**
-     * @name Snapshot hooks.
-     * The reservoir Rng is part of the state: reset() deliberately
-     * does not reseed it, so the sample count recorded before a
-     * window reset still determines which later samples the
-     * reservoir keeps. Restored==cold identity therefore needs the
-     * stream position, not just the aggregates.
-     * @{
-     */
-    void
-    saveState(Serializer &s) const
-    {
-        s.u64(n);
-        s.f64(sum);
-        s.f64(lo);
-        s.f64(hi);
-        s.podVec(reservoir);
-        rng.saveState(s);
-    }
-
-    void
-    restoreState(Deserializer &d)
-    {
-        n = d.u64();
-        sum = d.f64();
-        lo = d.f64();
-        hi = d.f64();
-        d.podVec(reservoir);
-        rng.restoreState(d);
-    }
-    /** @} */
-
   private:
     static constexpr std::size_t kReservoir = 8192;
 
@@ -114,11 +82,6 @@ class SnapshotCounter
         prev = value_;
         return d;
     }
-
-    /** @name Snapshot hooks. @{ */
-    void saveState(Serializer &s) const { s.u64(value_); }
-    void restoreState(Deserializer &d) { value_ = d.u64(); }
-    /** @} */
 
   private:
     std::uint64_t value_;

@@ -60,34 +60,6 @@ class CpuStreamWorkload : public Workload
                      static_cast<double>(cycles().value()));
     }
 
-    void
-    saveState(Serializer &s) const override
-    {
-        Workload::saveState(s);
-        s.begin("cpustream");
-        for (const Lane &lane : lanes) {
-            s.u64(lane.pos);
-            lane.rng.saveState(s);
-            s.boolean(lane.write_toggle);
-            lane.batch_ev.saveQueued(s);
-        }
-        s.end("cpustream");
-    }
-
-    void
-    restoreState(Deserializer &d) override
-    {
-        Workload::restoreState(d);
-        d.begin("cpustream");
-        for (Lane &lane : lanes) {
-            lane.pos = d.u64();
-            lane.rng.restoreState(d);
-            lane.write_toggle = d.boolean();
-            lane.batch_ev.restoreQueued(d);
-        }
-        d.end("cpustream");
-    }
-
   private:
     void runBatch(unsigned lane);
     Addr nextAddr(unsigned lane, bool &is_write);

@@ -61,26 +61,6 @@ DpdkWorkload::processPacket(unsigned q, const Nic::RxPacket &pkt,
 }
 
 void
-DpdkWorkload::saveState(Serializer &s) const
-{
-    Workload::saveState(s);
-    s.begin("dpdk");
-    for (const Engine::Recurring &ev : poll_ev)
-        ev.saveQueued(s);
-    s.end("dpdk");
-}
-
-void
-DpdkWorkload::restoreState(Deserializer &d)
-{
-    Workload::restoreState(d);
-    d.begin("dpdk");
-    for (Engine::Recurring &ev : poll_ev)
-        ev.restoreQueued(d);
-    d.end("dpdk");
-}
-
-void
 DpdkWorkload::poll(unsigned q)
 {
     if (!active_)

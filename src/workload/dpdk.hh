@@ -63,9 +63,6 @@ class DpdkWorkload : public Workload
     const DpdkConfig &config() const { return cfg; }
     Nic &nicDevice() { return nic; }
 
-    void saveState(Serializer &s) const override;
-    void restoreState(Deserializer &d) override;
-
   protected:
     /**
      * Process one packet; returns its service time (ns). Subclasses

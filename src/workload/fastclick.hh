@@ -44,28 +44,6 @@ class FastclickWorkload : public DpdkWorkload
         processing_.reset();
     }
 
-    void
-    saveState(Serializer &s) const override
-    {
-        DpdkWorkload::saveState(s);
-        s.begin("fastclick");
-        nic_to_host.saveState(s);
-        pointer_access.saveState(s);
-        processing_.saveState(s);
-        s.end("fastclick");
-    }
-
-    void
-    restoreState(Deserializer &d) override
-    {
-        DpdkWorkload::restoreState(d);
-        d.begin("fastclick");
-        nic_to_host.restoreState(d);
-        pointer_access.restoreState(d);
-        processing_.restoreState(d);
-        d.end("fastclick");
-    }
-
   protected:
     double processPacket(unsigned q, const Nic::RxPacket &pkt,
                          double wait_ns) override;

@@ -35,29 +35,6 @@ FioWorkload::FioWorkload(std::string name, WorkloadId id,
             onConsumeDone(j);
         });
     }
-
-    // Snapshot support: every command we submit is tagged (kind,
-    // job<<32|buf, write-submit tick), and this resolver rebuilds the
-    // matching completion closure on restore.
-    ssd.registerResolver(this->id(),
-                         [this](const IoTag &tag) -> SsdArray::Completion {
-        const auto job = static_cast<unsigned>(tag.b >> 32);
-        const auto buf = static_cast<unsigned>(tag.b & 0xFFFFFFFFu);
-        if (job >= jobs.size() || buf >= cfg.iodepth)
-            return nullptr;
-        if (tag.a == 0)
-            return [this, job, buf](Tick done_at) {
-                onReadComplete(done_at, job, buf);
-            };
-        if (tag.a == 1) {
-            const Tick t0 = tag.c;
-            return [this, job, buf, t0](Tick t) {
-                write_lat.record(static_cast<double>(t - t0));
-                submitRead(t, job, buf);
-            };
-        }
-        return nullptr;
-    });
 }
 
 void
@@ -84,8 +61,7 @@ FioWorkload::submitRead(Tick now, unsigned job, unsigned buf)
                    {j.core},
                    [this, job, buf](Tick done_at) {
                        onReadComplete(done_at, job, buf);
-                   },
-                   IoTag{0, (std::uint64_t(job) << 32) | buf, 0, true});
+                   });
 }
 
 void
@@ -175,59 +151,6 @@ FioWorkload::onConsumeDone(unsigned job)
 }
 
 void
-FioWorkload::saveState(Serializer &s) const
-{
-    Workload::saveState(s);
-    s.begin("fio");
-    rng.saveState(s);
-    for (const Job &j : jobs) {
-        for (const Buffer &b : j.buffers) {
-            s.u64(b.submit_time);
-            s.u64(b.dma_done);
-        }
-        s.u64(j.completed.size());
-        for (unsigned b : j.completed)
-            s.u32(b);
-        s.boolean(j.consuming);
-        s.boolean(j.pump_scheduled);
-        s.u32(j.consume_buf);
-        j.pump_ev.saveQueued(s);
-        j.consume_done_ev.saveQueued(s);
-    }
-    read_lat.saveState(s);
-    regex_lat.saveState(s);
-    write_lat.saveState(s);
-    s.end("fio");
-}
-
-void
-FioWorkload::restoreState(Deserializer &d)
-{
-    Workload::restoreState(d);
-    d.begin("fio");
-    rng.restoreState(d);
-    for (Job &j : jobs) {
-        for (Buffer &b : j.buffers) {
-            b.submit_time = d.u64();
-            b.dma_done = d.u64();
-        }
-        j.completed.clear();
-        const std::uint64_t n = d.u64();
-        for (std::uint64_t i = 0; i < n; ++i)
-            j.completed.push_back(d.u32());
-        j.consuming = d.boolean();
-        j.pump_scheduled = d.boolean();
-        j.consume_buf = d.u32();
-        j.pump_ev.restoreQueued(d);
-        j.consume_done_ev.restoreQueued(d);
-    }
-    read_lat.restoreState(d);
-    regex_lat.restoreState(d);
-    write_lat.restoreState(d);
-    d.end("fio");
-}
-
-void
 FioWorkload::finishBlock(Tick now, unsigned job, unsigned buf)
 {
     if (!active_)
@@ -241,9 +164,7 @@ FioWorkload::finishBlock(Tick now, unsigned job, unsigned buf)
                             write_lat.record(
                                 static_cast<double>(t - t0));
                             submitRead(t, job, buf);
-                        },
-                        IoTag{1, (std::uint64_t(job) << 32) | buf,
-                              std::uint64_t(t0), true});
+                        });
     } else {
         submitRead(now, job, buf);
     }

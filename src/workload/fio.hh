@@ -85,9 +85,6 @@ class FioWorkload : public Workload
         write_lat.reset();
     }
 
-    void saveState(Serializer &s) const override;
-    void restoreState(Deserializer &d) override;
-
   private:
     struct Buffer
     {

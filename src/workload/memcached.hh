@@ -48,24 +48,6 @@ class MemcachedWorkload : public DpdkWorkload
 
     const MemcachedConfig &mcConfig() const { return mc; }
 
-    void
-    saveState(Serializer &s) const override
-    {
-        DpdkWorkload::saveState(s);
-        s.begin("memcached");
-        rng.saveState(s);
-        s.end("memcached");
-    }
-
-    void
-    restoreState(Deserializer &d) override
-    {
-        DpdkWorkload::restoreState(d);
-        d.begin("memcached");
-        rng.restoreState(d);
-        d.end("memcached");
-    }
-
   protected:
     double processPacket(unsigned q, const Nic::RxPacket &pkt,
                          double wait_ns) override;

@@ -59,30 +59,6 @@ class RedisClient : public Workload
 
     void start() override;
 
-    void
-    saveState(Serializer &s) const override
-    {
-        Workload::saveState(s);
-        s.begin("redis-client");
-        keys.saveState(s);
-        rng.saveState(s);
-        s.u64(pos);
-        batch_ev.saveQueued(s);
-        s.end("redis-client");
-    }
-
-    void
-    restoreState(Deserializer &d) override
-    {
-        Workload::restoreState(d);
-        d.begin("redis-client");
-        keys.restoreState(d);
-        rng.restoreState(d);
-        pos = d.u64();
-        batch_ev.restoreQueued(d);
-        d.end("redis-client");
-    }
-
   private:
     void runBatch();
 
@@ -113,39 +89,6 @@ class RedisServer : public Workload
 
     std::size_t queueDepth() const { return requests.size(); }
     const RedisConfig &config() const { return cfg; }
-
-    void
-    saveState(Serializer &s) const override
-    {
-        Workload::saveState(s);
-        s.begin("redis-server");
-        s.u64(requests.size());
-        for (const Request &r : requests) {
-            s.u64(r.key);
-            s.boolean(r.is_update);
-            s.u64(r.submit_time);
-        }
-        serve_ev.saveQueued(s);
-        s.end("redis-server");
-    }
-
-    void
-    restoreState(Deserializer &d) override
-    {
-        Workload::restoreState(d);
-        d.begin("redis-server");
-        requests.clear();
-        const std::uint64_t n = d.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            Request r;
-            r.key = d.u64();
-            r.is_update = d.boolean();
-            r.submit_time = d.u64();
-            requests.push_back(r);
-        }
-        serve_ev.restoreQueued(d);
-        d.end("redis-server");
-    }
 
   private:
     struct Request

@@ -58,20 +58,6 @@ StorageServerWorkload::StorageServerWorkload(
         });
         qs.consume_done_ev.init(eng, [this, q] { onConsumeDone(q); });
     }
-
-    // Snapshot support: every command is tagged (kind, q<<32|slot,
-    // arrival tick) and this resolver rebuilds the completion closure
-    // on restore; the slot's own state round-trips via saveState.
-    ssd.registerResolver(this->id(),
-                         [this](const IoTag &tag) -> SsdArray::Completion {
-        const auto q = static_cast<unsigned>(tag.b >> 32);
-        const auto slot = static_cast<unsigned>(tag.b & 0xFFFFFFFFu);
-        if (q >= queues.size() || slot >= ss.iodepth)
-            return nullptr;
-        return [this, q, slot](Tick done_at) {
-            onIoDone(done_at, q, slot);
-        };
-    });
 }
 
 void
@@ -149,18 +135,15 @@ StorageServerWorkload::processPacket(unsigned q,
                       });
     }
 
-    const IoTag tag{is_get ? 0ull : 1ull,
-                    (std::uint64_t(q) << 32) | slot,
-                    std::uint64_t(sl.arrival), true};
     auto done = [this, q, slot](Tick done_at) {
         onIoDone(done_at, q, slot);
     };
     if (is_get) {
         ssd.submitRead(eng.now(), sl.base, ss.block_bytes, id(),
-                       {core}, done, tag);
+                       {core}, done);
     } else {
         ssd.submitWrite(eng.now(), sl.base, ss.block_bytes, id(),
-                        {core}, done, tag);
+                        {core}, done);
     }
     retire(ss.per_op_cpu_ns * 3.0, svc, 2.3);
     return svc;
@@ -251,64 +234,6 @@ StorageServerWorkload::onConsumeDone(unsigned q)
     qs.free_slots.push_back(slot);
     qs.consuming = false;
     consumeNext(q);
-}
-
-void
-StorageServerWorkload::saveState(Serializer &s) const
-{
-    DpdkWorkload::saveState(s);
-    s.begin("storage-server");
-    zipf.saveState(s);
-    rng.saveState(s);
-    s.u64(overflows_);
-    for (const Queue &qs : queues) {
-        for (const Slot &sl : qs.slots) {
-            s.boolean(sl.is_get);
-            s.u64(sl.arrival);
-        }
-        s.u64(qs.free_slots.size());
-        for (unsigned b : qs.free_slots)
-            s.u32(b);
-        s.u64(qs.completed.size());
-        for (unsigned b : qs.completed)
-            s.u32(b);
-        s.boolean(qs.consuming);
-        s.boolean(qs.pump_scheduled);
-        s.u32(qs.consume_slot);
-        qs.pump_ev.saveQueued(s);
-        qs.consume_done_ev.saveQueued(s);
-    }
-    s.end("storage-server");
-}
-
-void
-StorageServerWorkload::restoreState(Deserializer &d)
-{
-    DpdkWorkload::restoreState(d);
-    d.begin("storage-server");
-    zipf.restoreState(d);
-    rng.restoreState(d);
-    overflows_ = d.u64();
-    for (Queue &qs : queues) {
-        for (Slot &sl : qs.slots) {
-            sl.is_get = d.boolean();
-            sl.arrival = d.u64();
-        }
-        qs.free_slots.clear();
-        const std::uint64_t nf = d.u64();
-        for (std::uint64_t i = 0; i < nf; ++i)
-            qs.free_slots.push_back(d.u32());
-        qs.completed.clear();
-        const std::uint64_t nc = d.u64();
-        for (std::uint64_t i = 0; i < nc; ++i)
-            qs.completed.push_back(d.u32());
-        qs.consuming = d.boolean();
-        qs.pump_scheduled = d.boolean();
-        qs.consume_slot = d.u32();
-        qs.pump_ev.restoreQueued(d);
-        qs.consume_done_ev.restoreQueued(d);
-    }
-    d.end("storage-server");
 }
 
 } // namespace a4

@@ -24,18 +24,13 @@
  * ways — the cross-device contention A4's device-aware allocation
  * exists for.
  *
- * Determinism contracts (all pinned by tests/workload/
- * test_storage_server.cc):
- *
- *  - NIC burst vs per-packet and NVMe lazy vs per-completion modes
- *    are byte-identical: completion callbacks only queue state (with
- *    their virtual-time `done_at` ticks); every cache access and
- *    latency record runs from engine events (the inherited DPDK poll
- *    actors and the per-queue consume pump, which drains the
- *    observation barrier before looking at the completed set);
- *  - full saveState/restoreState support: in-flight NVMe commands
- *    carry IoTags and a registered resolver rebuilds their
- *    completions, so warm-up checkpoints restore bit-identically.
+ * Determinism contract (pinned by tests/workload/
+ * test_storage_server.cc): NIC burst vs per-packet and NVMe lazy vs
+ * per-completion modes are byte-identical. Completion callbacks only
+ * queue state (with their virtual-time `done_at` ticks); every cache
+ * access and latency record runs from engine events (the inherited
+ * DPDK poll actors and the per-queue consume pump, which drains the
+ * observation barrier before looking at the completed set).
  */
 
 #ifndef A4_WORKLOAD_STORAGE_SERVER_HH
@@ -89,9 +84,6 @@ class StorageServerWorkload : public DpdkWorkload
 
     /** Requests rejected because every I/O slot was in flight. */
     std::uint64_t overflows() const { return overflows_; }
-
-    void saveState(Serializer &s) const override;
-    void restoreState(Deserializer &d) override;
 
   protected:
     double processPacket(unsigned q, const Nic::RxPacket &pkt,

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "iodev/pcie.hh"
-#include "sim/serialize.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -76,42 +75,6 @@ class Workload
     const LatencyStat &latency() const { return lat_; }
     /** Reset distribution state at a measurement-window boundary. */
     virtual void resetWindow() { lat_.reset(); }
-    /** @} */
-
-    /**
-     * @name Snapshot hooks.
-     * Subclasses override to append their own state after calling the
-     * base implementation; a restored workload continues the exact
-     * event and RNG sequence of the saved one (its Recurrings re-arm
-     * at their saved (tick, seq) keys). Identity (name, id, cores) is
-     * construction state and is not saved.
-     * @{
-     */
-    virtual void
-    saveState(Serializer &s) const
-    {
-        s.begin("workload");
-        s.boolean(active_);
-        ops_.saveState(s);
-        bytes_.saveState(s);
-        instr_.saveState(s);
-        cycles_.saveState(s);
-        lat_.saveState(s);
-        s.end("workload");
-    }
-
-    virtual void
-    restoreState(Deserializer &d)
-    {
-        d.begin("workload");
-        active_ = d.boolean();
-        ops_.restoreState(d);
-        bytes_.restoreState(d);
-        instr_.restoreState(d);
-        cycles_.restoreState(d);
-        lat_.restoreState(d);
-        d.end("workload");
-    }
     /** @} */
 
   protected:

@@ -66,12 +66,6 @@ class ZipfianGenerator
         return h % n_;
     }
 
-    /** @name Snapshot hooks: only the stream position is mutable
-     *  (zeta constants re-derive from the constructor args). @{ */
-    void saveState(Serializer &s) const { rng_.saveState(s); }
-    void restoreState(Deserializer &d) { rng_.restoreState(d); }
-    /** @} */
-
   private:
     static double
     zeta(std::uint64_t n, double theta)

@@ -362,43 +362,6 @@ TEST(FleetClos, SharedClosWithoutTheGate)
         EXPECT_EQ(r.mgr->lpClosOf(id), A4Manager::kClosLpw);
 }
 
-TEST(FleetClos, GroupingSnapshotRoundTrips)
-{
-    Rig a(fleetParams());
-    a.addCpu(1, QosPriority::High);
-    for (WorkloadId id = 2; id <= 14; ++id)
-        a.addCpu(id, QosPriority::Low);
-    a.mgr->start();
-    a.eng.runUntil(2 * kMsec); // a few monitor intervals
-
-    Serializer s;
-    a.eng.saveBegin(s);
-    a.mgr->saveState(s);
-    a.eng.saveEnd(s);
-
-    // Restore into a fresh rig with the same registrations.
-    Rig b(fleetParams());
-    b.addCpu(1, QosPriority::High);
-    for (WorkloadId id = 2; id <= 14; ++id)
-        b.addCpu(id, QosPriority::Low);
-    Deserializer d(s.data());
-    b.eng.restoreBegin(d);
-    b.mgr->restoreState(d);
-    b.eng.restoreEnd(d);
-    EXPECT_TRUE(d.atEnd());
-
-    EXPECT_EQ(b.mgr->lpGroupCount(), a.mgr->lpGroupCount());
-    for (WorkloadId id = 2; id <= 14; ++id)
-        EXPECT_EQ(b.mgr->lpClosOf(id), a.mgr->lpClosOf(id)) << id;
-
-    // Re-saving reproduces the identical byte stream.
-    Serializer s2;
-    b.eng.saveBegin(s2);
-    b.mgr->saveState(s2);
-    b.eng.saveEnd(s2);
-    EXPECT_EQ(s2.data(), s.data());
-}
-
 TEST(FleetMetrics_, AggregatesRideTheRecordCodec)
 {
     const SpecResult r = runSpecWithWindows(fleetSpec(4), tinyWindows());

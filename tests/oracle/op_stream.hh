@@ -11,12 +11,22 @@
  * moves cores between CLOS 0 and 1 and toggles DDIO per port (DMA
  * writes go through port 0 or 1 and allocate iff that port's DDIO is
  * on).
+ *
+ * The base stream hands every DMA op core 0 as its consumer and only
+ * touches workload 3's region. With `any_consumer` on, DMA ops target
+ * any region (a device writing into, or sending from, a buffer some
+ * core holds in its MLC), a DMA write names a random non-empty set of
+ * consumer cores, and a DMA read looks in one random core's MLC. Its
+ * extra draws come after the base draws of each op, so the base
+ * stream of a seed is the same with the option off.
  */
 
 #ifndef A4_TESTS_ORACLE_OP_STREAM_HH
 #define A4_TESTS_ORACLE_OP_STREAM_HH
 
+#include <bit>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -41,6 +51,9 @@ struct CacheOp
     unsigned port = 0;       ///< DmaWrite, SetDdio
     unsigned clos = 0;       ///< AssignCore
     WayMask mask = 0;        ///< SetClosMask (CLOS 1)
+    /** DmaWrite's consumer cores, DmaRead's MLC cores (bit c = core
+     *  c). */
+    std::uint64_t consumers = 1;
 
     std::string
     str() const
@@ -48,13 +61,14 @@ struct CacheOp
         static const char *names[] = {"read", "write", "dma_write",
                                       "dma_read", "clos1_mask",
                                       "assign_core", "ddio"};
-        char buf[160];
+        char buf[192];
         std::snprintf(buf, sizeof(buf),
                       "t=%llu %s core=%u addr=0x%llx wl=%u alloc=%d "
-                      "port=%u clos=%u mask=0x%x",
+                      "port=%u clos=%u mask=0x%x consumers=0x%llx",
                       static_cast<unsigned long long>(now), names[kind],
                       core, static_cast<unsigned long long>(addr), wl,
-                      allocating, port, clos, mask);
+                      allocating, port, clos, mask,
+                      static_cast<unsigned long long>(consumers));
         return buf;
     }
 };
@@ -67,14 +81,16 @@ class CacheOpStream
     static constexpr Addr kRegion3 = 0x8000000; ///< workload 3 (I/O)
 
     /**
-     * @param cores cores in the geometry (>= 2).
+     * @param cores cores in the geometry (2 to 64).
      * @param lines distinct lines per region.
      * @param llc_ways ways for the generated CLOS masks.
+     * @param any_consumer widen the DMA ops (see the file comment).
      */
     CacheOpStream(std::uint64_t seed, unsigned cores, unsigned lines,
-                  bool control, unsigned llc_ways = 11)
+                  bool control, unsigned llc_ways = 11,
+                  bool any_consumer = false)
         : rng(seed), cores(cores), lines(lines), control(control),
-          llc_ways(llc_ways)
+          llc_ways(llc_ways), any_consumer(any_consumer)
     {}
 
     CacheOp
@@ -104,11 +120,19 @@ class CacheOpStream
             op.allocating = ddio[op.port];
             op.addr = kRegion3 + off;
             op.wl = 3;
+            if (any_consumer) {
+                op.addr = anyRegion() + off;
+                op.consumers = 1 + rng.below(allCores());
+            }
             break;
           case 5:
             op.kind = CacheOp::DmaRead;
             op.addr = kRegion3 + off;
             op.wl = 3;
+            if (any_consumer) {
+                op.addr = anyRegion() + off;
+                op.consumers = std::uint64_t(1) << rng.below(cores);
+            }
             break;
           case 6: {
             op.kind = CacheOp::SetClosMask;
@@ -132,11 +156,27 @@ class CacheOpStream
     }
 
   private:
+    Addr
+    anyRegion()
+    {
+        static constexpr Addr kRegions[3] = {kRegion1, kRegion2, kRegion3};
+        return kRegions[rng.below(3)];
+    }
+
+    /** The mask of every core (cores <= 64). */
+    std::uint64_t
+    allCores() const
+    {
+        return cores == 64 ? ~std::uint64_t(0)
+                           : (std::uint64_t(1) << cores) - 1;
+    }
+
     Rng rng;
     unsigned cores;
     unsigned lines;
     bool control;
     unsigned llc_ways;
+    bool any_consumer;
     Tick i = 0;
     bool ddio[2] = {true, false};
 };
@@ -144,14 +184,19 @@ class CacheOpStream
 /**
  * Apply @p op to @p model (CacheSystem or the reference model: both
  * offer coreRead/coreWrite/dmaWriteLine/dmaReadLine) and to the CAT it
- * reads. Core 0 consumes the I/O buffers. Returns (hit level, latency)
- * for core accesses, (served, 0) for DMA reads, (0, 0) otherwise.
+ * reads. A DMA op's cores are op.consumers in ascending order. Returns
+ * (hit level, latency) for core accesses, (served, 0) for DMA reads,
+ * (0, 0) otherwise.
  */
 template <typename Model>
 std::pair<int, double>
 applyOp(const CacheOp &op, Model &model, CatController &cat)
 {
-    static constexpr CoreId kConsumers[1] = {0};
+    CoreId cores[64];
+    std::size_t n = 0;
+    for (std::uint64_t m = op.consumers; m != 0; m &= m - 1)
+        cores[n++] = CoreId(std::countr_zero(m));
+    const std::span<const CoreId> dma_cores(cores, n);
     switch (op.kind) {
       case CacheOp::Read:
       case CacheOp::Write: {
@@ -162,11 +207,11 @@ applyOp(const CacheOp &op, Model &model, CatController &cat)
         return {int(r.level), r.latency_ns};
       }
       case CacheOp::DmaWrite:
-        model.dmaWriteLine(op.now, op.addr, op.wl, kConsumers,
+        model.dmaWriteLine(op.now, op.addr, op.wl, dma_cores,
                            op.allocating);
         break;
       case CacheOp::DmaRead:
-        return {model.dmaReadLine(op.now, op.addr, op.wl, kConsumers),
+        return {model.dmaReadLine(op.now, op.addr, op.wl, dma_cores),
                 0.0};
       case CacheOp::SetClosMask:
         cat.setClosMask(1, op.mask);

@@ -10,7 +10,9 @@
  * occupancy. The occupancy census walks the whole LLC, so the
  * scale-4 cases take it every `census_every` ops and at the end; a
  * mismatch there is replayed op by op to find its first op. A failure
- * prints the shortest failing prefix of the stream.
+ * prints the shortest failing prefix of the stream. The AnyConsumer
+ * cases run the stream's any-consumer variant: DMA ops over every
+ * region with random consumer sets and egress cores.
  */
 
 #include <gtest/gtest.h>
@@ -36,6 +38,7 @@ struct DiffCase
     std::size_t ops;
     std::size_t census_every;
     std::uint64_t seed;
+    bool any_consumer = false; ///< the op stream's widened DMA ops
 };
 
 /** gtest's default print of a case is its raw bytes, which start with
@@ -50,6 +53,8 @@ PrintTo(const DiffCase &dc, std::ostream *os)
         << g.mlc_sets << "x" << g.mlc_ways << " "
         << (g.replacement == LlcReplacement::Lru ? "lru" : "srrip")
         << " seed " << dc.seed;
+    if (dc.any_consumer)
+        *os << " any-consumer";
 }
 
 CacheGeometry
@@ -160,7 +165,7 @@ firstMismatch(const DiffCase &dc, std::size_t ops,
 {
     Pair p(dc.geom);
     CacheOpStream stream(dc.seed, dc.geom.num_cores, dc.lines, true,
-                         dc.geom.llc_ways);
+                         dc.geom.llc_ways, dc.any_consumer);
     for (std::size_t i = 0; i < ops; ++i) {
         const CacheOp op = stream.next();
         const auto got = applyOp(op, p.real, p.cat);
@@ -202,7 +207,7 @@ TEST_P(Differential, MatchesReferenceModel)
 
     std::ostringstream prefix;
     CacheOpStream stream(dc.seed, dc.geom.num_cores, dc.lines, true,
-                         dc.geom.llc_ways);
+                         dc.geom.llc_ways, dc.any_consumer);
     constexpr std::size_t kShown = 40;
     for (std::size_t i = 0; i <= bad; ++i) {
         const CacheOp op = stream.next();
@@ -243,6 +248,21 @@ INSTANTIATE_TEST_SUITE_P(
                  2048, 15},
         DiffCase{"srrip_scale4", scale4(LlcReplacement::Srrip), 65536,
                  300000, 2048, 16}),
+    [](const ::testing::TestParamInfo<DiffCase> &info) {
+        return std::string(info.param.name);
+    });
+
+INSTANTIATE_TEST_SUITE_P(
+    AnyConsumer, Differential,
+    ::testing::Values(
+        DiffCase{"lru_tiny", tiny(8, 4, 4, LlcReplacement::Lru), 512,
+                 40000, 1, 31, true},
+        DiffCase{"srrip_conflict", tiny(2, 2, 2, LlcReplacement::Srrip),
+                 48, 40000, 1, 32, true},
+        DiffCase{"lru_25way", wide(25, LlcReplacement::Lru), 512, 40000,
+                 1, 33, true},
+        DiffCase{"srrip_19way", wide(19, LlcReplacement::Srrip), 512,
+                 40000, 1, 34, true}),
     [](const ::testing::TestParamInfo<DiffCase> &info) {
         return std::string(info.param.name);
     });

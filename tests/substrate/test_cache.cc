@@ -9,13 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <initializer_list>
+#include <utility>
 #include <vector>
 
 #include "cache/hierarchy.hh"
 #include "mem/dram.hh"
 #include "rdt/cat.hh"
 #include "sim/addrmap.hh"
-#include "sim/serialize.hh"
 
 using namespace a4;
 
@@ -438,6 +439,87 @@ TEST(CacheBounds, LowestAllocatedAndTopLinesAreDistinct)
     EXPECT_EQ(r.cache.auditInvariants(), 0u);
 }
 
+namespace
+{
+
+/** Every per-workload (ids 0..kIoWl) and global counter, in a fixed
+ *  order. */
+std::vector<std::uint64_t>
+counterValues(const CacheSystem &c)
+{
+    std::vector<std::uint64_t> v;
+    for (WorkloadId id = 0; id <= Rig::kIoWl; ++id) {
+        const WorkloadCounters &w = c.wlConst(id);
+        for (const SnapshotCounter *k :
+             {&w.mlc_hit, &w.mlc_miss, &w.llc_hit, &w.llc_miss,
+              &w.dma_lines_written, &w.dma_write_update,
+              &w.dma_write_alloc, &w.dma_nonalloc, &w.dma_leaked,
+              &w.migrated_inclusive, &w.bloat_inserts,
+              &w.evicted_by_migration, &w.mem_read_lines,
+              &w.mem_write_lines})
+            v.push_back(k->value());
+    }
+    const GlobalCacheCounters &g = c.global();
+    for (const SnapshotCounter *k :
+         {&g.llc_lookups, &g.llc_evictions, &g.llc_writebacks,
+          &g.dca_evictions, &g.inclusive_evictions,
+          &g.egress_inclusive_alloc})
+        v.push_back(k->value());
+    return v;
+}
+
+/** A line range [base, base + lines * kLineBytes). */
+struct LineRange
+{
+    Addr base;
+    std::uint64_t lines;
+};
+
+/**
+ * Expect @p a and @p b to hold the same lines: the LLC probe of every
+ * line in @p ranges, MLC presence on every core, every counter, and
+ * a clean invariant audit on both.
+ */
+void
+expectSameCaches(const CacheSystem &a, const CacheSystem &b,
+                 std::initializer_list<LineRange> ranges)
+{
+    for (const LineRange &r : ranges) {
+        for (std::uint64_t i = 0; i < r.lines; ++i) {
+            const Addr addr = r.base + i * kLineBytes;
+            const CacheSystem::Probe pa = a.probeLlc(addr);
+            const CacheSystem::Probe pb = b.probeLlc(addr);
+            EXPECT_EQ(pa.in_llc, pb.in_llc) << std::hex << addr;
+            EXPECT_EQ(pa.way, pb.way) << std::hex << addr;
+            EXPECT_EQ(pa.dirty, pb.dirty) << std::hex << addr;
+            EXPECT_EQ(pa.io, pb.io) << std::hex << addr;
+            EXPECT_EQ(pa.consumed, pb.consumed) << std::hex << addr;
+            EXPECT_EQ(pa.in_mlc_flag, pb.in_mlc_flag) << std::hex << addr;
+            EXPECT_EQ(pa.owner, pb.owner) << std::hex << addr;
+            for (CoreId c = 0; c < a.geometry().num_cores; ++c) {
+                EXPECT_EQ(a.inMlc(c, addr), b.inMlc(c, addr))
+                    << std::hex << addr << " core " << c;
+            }
+        }
+    }
+    EXPECT_EQ(counterValues(a), counterValues(b));
+    EXPECT_EQ(a.auditInvariants(), 0u);
+    EXPECT_EQ(b.auditInvariants(), 0u);
+}
+
+void
+expectSameResults(const std::vector<AccessResult> &got,
+                  const std::vector<AccessResult> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].level, want[i].level) << "line " << i;
+        EXPECT_EQ(got[i].latency_ns, want[i].latency_ns) << "line " << i;
+    }
+}
+
+} // namespace
+
 TEST(CacheRuns, RunsMatchLineByLine)
 {
     // The run entry points must leave exactly the state, counters and
@@ -447,15 +529,17 @@ TEST(CacheRuns, RunsMatchLineByLine)
     const Addr io = 0x200020;            // unaligned start
     const Addr data = 0x400000;
     std::vector<AccessResult> got, want;
+    auto into = [](std::vector<AccessResult> &v) {
+        return [&v](const AccessResult &r) { v.push_back(r); };
+    };
 
     runs.cache.dmaWriteRun(0, io, kLines, Rig::kIoWl, Rig::kCore0, true);
-    runs.cache.coreRun(1, 0, io, kLines, Rig::kWl, false,
-                       [&](const AccessResult &r) { got.push_back(r); });
-    runs.cache.coreRun(2, 1, data, kLines, Rig::kWl, true,
-                       [&](const AccessResult &r) { got.push_back(r); });
+    runs.cache.coreRun(1, 0, io, kLines, Rig::kWl, false, into(got));
+    runs.cache.coreRun(2, 1, data, kLines, Rig::kWl, true, into(got));
     const std::uint64_t run_served =
         runs.cache.dmaReadRun(3, io, 2 * kLines, Rig::kIoWl, Rig::kCore0);
     runs.cache.dmaWriteRun(4, data, kLines, Rig::kIoWl, Rig::kCore0, false);
+    runs.cache.coreRun(5, 0, io, kLines, Rig::kWl, false, into(got));
 
     for (std::uint64_t i = 0; i < kLines; ++i)
         lines.cache.dmaWriteLine(0, io + i * kLineBytes, Rig::kIoWl,
@@ -475,14 +559,50 @@ TEST(CacheRuns, RunsMatchLineByLine)
     for (std::uint64_t i = 0; i < kLines; ++i)
         lines.cache.dmaWriteLine(4, data + i * kLineBytes, Rig::kIoWl,
                                  Rig::kCore0, false);
+    for (std::uint64_t i = 0; i < kLines; ++i)
+        want.push_back(
+            lines.cache.coreRead(5, 0, io + i * kLineBytes, Rig::kWl));
 
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].level, want[i].level) << "line " << i;
-        EXPECT_EQ(got[i].latency_ns, want[i].latency_ns) << "line " << i;
+    expectSameResults(got, want);
+    const LineRange io_lines{io, 2 * kLines};
+    const LineRange data_lines{data, kLines};
+    expectSameCaches(runs.cache, lines.cache, {io_lines, data_lines});
+
+    // Replacement state by behaviour: identical eviction-forcing
+    // passes over conflicting ranges pick their MLC and LLC victims
+    // from each rig's ranks. The passes fill the sets a few lines at
+    // a time, so a rank difference shows up in which lines survive
+    // before later passes evict both rigs' old lines alike.
+    constexpr std::uint64_t kRounds = 12;
+    constexpr std::uint64_t kCoreStep = 8;
+    constexpr std::uint64_t kIoStep = 16;
+    const LineRange force_core0{0x800000, kRounds * kCoreStep};
+    const LineRange force_core1{0xA00000, kRounds * kCoreStep};
+    const LineRange force_io{0xC00000, kRounds * kIoStep};
+    for (std::uint64_t k = 0; k < kRounds; ++k) {
+        std::vector<AccessResult> got_force, want_force;
+        for (auto [rig, out] : {std::pair{&runs, &got_force},
+                                std::pair{&lines, &want_force}}) {
+            const Tick now = 6 + k;
+            // Consuming freshly DMA-written lines migrates them into
+            // the inclusive ways, which forces victims there; the
+            // core runs force MLC victims (and their LLC inserts).
+            const Addr io_step = force_io.base + k * kIoStep * kLineBytes;
+            rig->cache.dmaWriteRun(now, io_step, kIoStep, Rig::kIoWl,
+                                   Rig::kCore0, true);
+            rig->cache.coreRun(now, 2, io_step, kIoStep, Rig::kWl, false,
+                               into(*out));
+            rig->cache.coreRun(now, 0,
+                               force_core0.base + k * kCoreStep * kLineBytes,
+                               kCoreStep, Rig::kWl, true, into(*out));
+            rig->cache.coreRun(now, 1,
+                               force_core1.base + k * kCoreStep * kLineBytes,
+                               kCoreStep, Rig::kWl, false, into(*out));
+        }
+        expectSameResults(got_force, want_force);
+        expectSameCaches(runs.cache, lines.cache,
+                         {io_lines, data_lines, force_core0, force_core1,
+                          force_io});
+        ASSERT_FALSE(HasFailure()) << "after forcing round " << k;
     }
-    Serializer a, b;
-    runs.cache.saveState(a);
-    lines.cache.saveState(b);
-    EXPECT_EQ(a.data(), b.data());
 }

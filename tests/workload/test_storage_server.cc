@@ -6,10 +6,6 @@
  * once — NIC burst vs per-packet, NVMe lazy vs per-completion
  * carrier, and `-j1` == `-j4` dispatch — plus
  * the end-to-end service properties the kind exists for.
- *
- * (The cold == checkpoint-restored leg lives in
- * tests/harness/test_checkpoint.cc as the fourth kind of its
- * matrix.)
  */
 
 #include <gtest/gtest.h>

@@ -168,21 +168,3 @@ TEST(Ycsb, LargeKeySpaceUsesTheZetaTailEstimate)
     // ten-million key space.
     EXPECT_GT(double(head) / double(draws), 0.02);
 }
-
-TEST(Ycsb, SaveRestoreResumesTheStream)
-{
-    ZipfianGenerator g(4096, 0.99, 77);
-    for (int i = 0; i < 100; ++i)
-        g.nextScrambled();
-    Serializer s;
-    g.saveState(s);
-    std::vector<std::uint64_t> tail;
-    for (int i = 0; i < 100; ++i)
-        tail.push_back(g.nextScrambled());
-
-    ZipfianGenerator h(4096, 0.99, 1); // different stream position
-    Deserializer d(s.data());
-    h.restoreState(d);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(h.nextScrambled(), tail[std::size_t(i)]) << i;
-}
