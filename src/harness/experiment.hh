@@ -19,7 +19,6 @@
 #include <cstring>
 #include <vector>
 
-#include "harness/sweep.hh"
 #include "harness/testbed.hh"
 #include "pcm/monitor.hh"
 #include "sim/log.hh"
@@ -27,21 +26,6 @@
 
 namespace a4
 {
-
-/**
- * Append the engine's health diagnostics to a sweep point's Record.
- * Every figure bench calls this (the scenario runners do it through
- * their result structs), so past-dated scheduling clamped by the
- * release build — Engine::pastEvents() — is visible in each point of
- * the --json output instead of silently skewing figure numbers. The
- * value is arrival-mode invariant: burst batching never schedules
- * into the past, so a nonzero count always implicates an actor.
- */
-inline void
-recordEngineDiag(Record &r, const Engine &eng)
-{
-    r.set("past_events", double(eng.pastEvents()));
-}
 
 /** Warm-up + measurement windows (simulated time). */
 struct Windows

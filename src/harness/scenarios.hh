@@ -1,12 +1,13 @@
 /**
  * @file
- * Result types of the paper's evaluation scenarios (§7): the
- * management schemes (Default, Isolate, A4-a..d), the microbenchmark
- * co-run's per-X-Mem outcome (Fig. 11/12), the real-world HPW-heavy /
- * LPW-heavy mixes' per-workload outcome (Fig. 13/14/15), and their
- * sweep-pipe codecs. The scenarios themselves are declarative specs
- * (microSpec()/realWorldSpec() in harness/spec.hh) run by runSpec()
- * and restated by microResultFromSpec()/scenarioResultFromSpec().
+ * Vocabulary of the paper's evaluation scenarios (§7): the management
+ * schemes (Default, Isolate, A4-a..d), the microbenchmark co-run's
+ * per-X-Mem outcome (Fig. 11/12) with its sweep-pipe codec, and the
+ * per-workload reads of the Records the real-world HPW-heavy /
+ * LPW-heavy mixes produce (Fig. 13/14/15). The scenarios themselves
+ * are declarative specs (microSpec()/realWorldSpec() in
+ * harness/spec.hh) run by runSpec() and projected by
+ * microResultFromSpec()/scenarioRecord().
  */
 
 #ifndef A4_HARNESS_SCENARIOS_HH
@@ -15,7 +16,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "harness/sweep.hh"
 
@@ -49,56 +49,6 @@ isA4(Scheme s)
 /** Ablation letter for an A4 scheme. */
 char a4Letter(Scheme s);
 
-/** Per-workload outcome of a scenario run. */
-struct WorkloadResult
-{
-    std::string name;
-    bool hpw = false;        ///< original QoS
-    bool multithread_io = false; ///< perf = throughput, else IPC
-    double perf = 0.0;       ///< ops-throughput or IPC (absolute)
-    double llc_hit_rate = 0.0;
-    bool antagonist = false; ///< flagged by A4 during the run
-    double tail_latency_us = 0.0; ///< I/O workloads only
-};
-
-/** Scenario-wide outcome. */
-struct ScenarioResult
-{
-    std::vector<WorkloadResult> workloads;
-
-    // Fig. 14a: Fastclick latency breakdown (us).
-    double fc_nic_to_host_us = 0.0;
-    double fc_pointer_us = 0.0;
-    double fc_process_us = 0.0;
-
-    // Fig. 14b: FFSB-H latency breakdown (ms).
-    double ffsbh_read_ms = 0.0;
-    double ffsbh_regex_ms = 0.0;
-    double ffsbh_write_ms = 0.0;
-
-    // Fig. 14c: system-wide I/O throughput (paper-equivalent GB/s).
-    double fc_rd_gbps = 0.0;
-    double fc_wr_gbps = 0.0;
-    double ffsbh_rd_gbps = 0.0;
-    double ffsbh_wr_gbps = 0.0;
-
-    // Fig. 14d: memory bandwidth (paper-equivalent GB/s).
-    double mem_rd_gbps = 0.0;
-    double mem_wr_gbps = 0.0;
-
-    /** Engine::pastEvents() after the run: past-dated schedules the
-     *  release build clamped to now(). Anything non-zero means an
-     *  actor slipped and the figure numbers are suspect. */
-    double past_events = 0.0;
-
-    const WorkloadResult *find(const std::string &name) const;
-
-    /** Geometric-mean relative performance vs @p baseline. */
-    static double avgRelative(const ScenarioResult &r,
-                              const ScenarioResult &baseline,
-                              std::optional<bool> hpw_filter);
-};
-
 /** Per-X-Mem outcome of the microbenchmark co-run (Fig. 11/12). */
 struct MicroResult
 {
@@ -106,13 +56,32 @@ struct MicroResult
     double xmem_hit[3] = {0, 0, 0};
     double net_tail_us = 0.0;
     double net_rd_gbps = 0.0; ///< network ingress, paper-equivalent
-    double past_events = 0.0; ///< see ScenarioResult::past_events
+
+    /** Engine::pastEvents() after the run: past-dated schedules the
+     *  release build clamped to now(). Anything non-zero means an
+     *  actor slipped and the figure numbers are suspect. */
+    double past_events = 0.0;
 };
 
-/** @name Sweep-pipe codecs for the scenario result structs. @{ */
+/** Sweep-pipe codec for MicroResult (the record = micro view). */
 Record toRecord(const MicroResult &r);
-Record toRecord(const ScenarioResult &r);
-ScenarioResult scenarioResultFrom(const Record &r);
+
+/** @name Per-workload reads of a spec- or scenario-view Record
+ *  ("workloads" = N, then "w<i>.name", "w<i>.hpw", "w<i>.perf", ...).
+ *  @{ */
+/** Key prefix ("w<i>.") of the workload named @p name; "" when the
+ *  record has no such workload. */
+std::string recordWorkload(const Record &rec, const std::string &name);
+
+/**
+ * Geometric-mean relative performance of @p r vs @p baseline, the
+ * Fig. 13/15 aggregate: over @p r's workloads of class @p hpw_filter
+ * (all when nullopt), matched to @p baseline by name, skipping those
+ * absent from the baseline or with a non-positive perf on either
+ * side; 0 when none remain.
+ */
+double avgRelativePerf(const Record &r, const Record &baseline,
+                       std::optional<bool> hpw_filter);
 /** @} */
 
 } // namespace a4

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <numeric>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 
@@ -66,7 +67,8 @@ parseNum(const std::string &s, double &out)
         return false;
     char *end = nullptr;
     const double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str() || *end != '\0')
+    // strtod also takes "inf"/"nan"; no knob means either.
+    if (end == s.c_str() || *end != '\0' || !std::isfinite(v))
         return false;
     out = v;
     return true;
@@ -121,6 +123,41 @@ struct KindDef
     Workload &(*build)(Testbed &, const WorkloadSpec &, BuiltMap &);
 };
 
+/** Knobs of one Nic (nicConfigFromKnobs) and of one SsdArray
+ *  (ssdConfigFromKnobs), shared by every kind that owns one. */
+constexpr KnobDef kNicKnobs[] = {{"packet_bytes", 'u'},
+                                 {"offered_gbps", 'd'},
+                                 {"num_queues", 'u'},
+                                 {"ring_entries", 'u'},
+                                 {"poisson", 'b'}};
+constexpr KnobDef kSsdKnobs[] = {{"link_bw_bps", 'd'},
+                                 {"parallelism", 'u'}};
+
+/** A kind's own knobs followed by the shared @p groups. */
+std::vector<KnobDef>
+knobList(std::initializer_list<KnobDef> own,
+         std::initializer_list<std::span<const KnobDef>> groups = {})
+{
+    std::vector<KnobDef> out(own);
+    for (std::span<const KnobDef> g : groups)
+        out.insert(out.end(), g.begin(), g.end());
+    return out;
+}
+
+/** The schema entry of @p key in kind @p kd; null when either is
+ *  unknown. */
+const KnobDef *
+findKnob(const KindDef *kd, const std::string &key)
+{
+    if (kd == nullptr)
+        return nullptr;
+    for (const KnobDef &k : kd->knobs) {
+        if (key == k.key)
+            return &k;
+    }
+    return nullptr;
+}
+
 NicConfig
 nicConfigFromKnobs(const WorkloadSpec &w)
 {
@@ -132,6 +169,33 @@ nicConfigFromKnobs(const WorkloadSpec &w)
     nc.poisson = w.flag("poisson", nc.poisson);
     nc.seed = w.u64("seed", nc.seed);
     return nc;
+}
+
+SsdConfig
+ssdConfigFromKnobs(const WorkloadSpec &w)
+{
+    SsdConfig sc;
+    sc.link_bw_bps = w.num("link_bw_bps", sc.link_bw_bps);
+    sc.parallelism = w.u32("parallelism", sc.parallelism);
+    return sc;
+}
+
+/** The ffsb-heavy / ffsb-light FioConfig named by the `profile` knob
+ *  (machine-scale); nullopt without one, fatal on an unknown name.
+ *  @p what names the kind in the error. */
+std::optional<FioConfig>
+ffsbProfile(const WorkloadSpec &w, unsigned scale, const char *what)
+{
+    const std::string profile = w.str("profile", "");
+    if (profile.empty())
+        return std::nullopt;
+    if (profile == "ffsb-heavy")
+        return ffsbHeavyConfig(scale);
+    if (profile == "ffsb-light")
+        return ffsbLightConfig(scale);
+    fatal(sformat("workload '%s': unknown %s profile '%s' (want "
+                  "ffsb-heavy or ffsb-light)",
+                  w.name.c_str(), what, profile.c_str()));
 }
 
 Workload &
@@ -159,27 +223,15 @@ Workload &
 buildFio(Testbed &bed, const WorkloadSpec &w, BuiltMap &)
 {
     const unsigned scale = bed.config().scale;
+    const SsdConfig sc = ssdConfigFromKnobs(w);
 
-    SsdConfig sc;
-    sc.link_bw_bps = w.num("link_bw_bps", sc.link_bw_bps);
-    sc.parallelism = w.u32("parallelism", sc.parallelism);
-
-    FioConfig fc;
-    const std::string profile = w.str("profile", "");
-    if (profile == "ffsb-heavy") {
-        fc = ffsbHeavyConfig(scale);
-    } else if (profile == "ffsb-light") {
-        fc = ffsbLightConfig(scale);
-    } else if (!profile.empty()) {
-        fatal(sformat("workload '%s': unknown fio profile '%s' (want "
-                      "ffsb-heavy or ffsb-light)",
-                      w.name.c_str(), profile.c_str()));
-    } else {
-        fc = scaledFioConfig(w.u64("block_bytes", 128 * kKiB), scale);
-    }
+    const std::optional<FioConfig> profile = ffsbProfile(w, scale, "fio");
+    FioConfig fc = profile ? *profile
+                           : scaledFioConfig(
+                                 w.u64("block_bytes", 128 * kKiB), scale);
     // block_bytes is always nominal (paper) bytes; with a profile it
     // overrides the profile's block.
-    if (!profile.empty() && w.find("block_bytes") != nullptr)
+    if (profile && w.find("block_bytes") != nullptr)
         fc.block_bytes = scaleBytes(w.u64("block_bytes", 0), scale);
     // regex_ns_per_line is nominal per-line cost; like every fixed
     // per-unit CPU cost it multiplies by the scale (see scaling.hh).
@@ -213,33 +265,22 @@ Workload &
 buildStorageServer(Testbed &bed, const WorkloadSpec &w, BuiltMap &)
 {
     const unsigned scale = bed.config().scale;
-
-    SsdConfig sc;
-    sc.link_bw_bps = w.num("link_bw_bps", sc.link_bw_bps);
-    sc.parallelism = w.u32("parallelism", sc.parallelism);
+    const SsdConfig sc = ssdConfigFromKnobs(w);
 
     StorageServerConfig ss;
     // Block size and iodepth come from the ffsb profiles (already
     // machine-scale, like fio's profile knob); explicit block_bytes
     // is nominal (paper) bytes and overrides the profile's block.
-    const std::string profile = w.str("profile", "");
-    if (profile == "ffsb-heavy") {
-        const FioConfig fc = ffsbHeavyConfig(scale);
-        ss.block_bytes = fc.block_bytes;
-        ss.iodepth = fc.iodepth;
-    } else if (profile == "ffsb-light") {
-        const FioConfig fc = ffsbLightConfig(scale);
-        ss.block_bytes = fc.block_bytes;
-        ss.iodepth = fc.iodepth;
-    } else if (!profile.empty()) {
-        fatal(sformat("workload '%s': unknown storage-server profile "
-                      "'%s' (want ffsb-heavy or ffsb-light)",
-                      w.name.c_str(), profile.c_str()));
+    const std::optional<FioConfig> profile =
+        ffsbProfile(w, scale, "storage-server");
+    if (profile) {
+        ss.block_bytes = profile->block_bytes;
+        ss.iodepth = profile->iodepth;
     } else {
         ss.block_bytes = scaleBytes(w.u64("block_bytes", 128 * kKiB),
                                     scale);
     }
-    if (!profile.empty() && w.find("block_bytes") != nullptr)
+    if (profile && w.find("block_bytes") != nullptr)
         ss.block_bytes = scaleBytes(w.u64("block_bytes", 0), scale);
     // Like the memcached store, the record count scales (keeping the
     // block size) so the map stays LLC-commensurate.
@@ -333,34 +374,34 @@ kinds()
 {
     static const std::vector<KindDef> defs = {
         {"dpdk", true, true,
-         {{"packet_bytes", 'u'}, {"offered_gbps", 'd'},
-          {"num_queues", 'u'}, {"ring_entries", 'u'}, {"touch", 'b'},
-          {"poisson", 'b'}, {"per_packet_cpu_ns", 'd'}, {"seed", 'u'}},
+         knobList({{"touch", 'b'}, {"per_packet_cpu_ns", 'd'},
+                   {"seed", 'u'}},
+                  {kNicKnobs}),
          buildDpdk},
         {"fastclick", true, true,
-         {{"packet_bytes", 'u'}, {"offered_gbps", 'd'},
-          {"num_queues", 'u'}, {"ring_entries", 'u'}, {"poisson", 'b'},
-          {"per_packet_cpu_ns", 'd'}, {"seed", 'u'}},
+         knobList({{"per_packet_cpu_ns", 'd'}, {"seed", 'u'}},
+                  {kNicKnobs}),
          buildFastclick},
         {"fio", true, true,
-         {{"profile", 's'}, {"block_bytes", 'u'}, {"num_jobs", 'u'},
-          {"iodepth", 'u'}, {"write_mix", 'd'},
-          {"regex_ns_per_line", 'd'}, {"consume", 'b'}, {"seed", 'u'},
-          {"link_bw_bps", 'd'}, {"parallelism", 'u'}},
+         knobList({{"profile", 's'}, {"block_bytes", 'u'},
+                   {"num_jobs", 'u'}, {"iodepth", 'u'},
+                   {"write_mix", 'd'}, {"regex_ns_per_line", 'd'},
+                   {"consume", 'b'}, {"seed", 'u'}},
+                  {kSsdKnobs}),
          buildFio},
         {"memcached-udp", true, true,
-         {{"packet_bytes", 'u'}, {"offered_gbps", 'd'},
-          {"num_queues", 'u'}, {"ring_entries", 'u'}, {"poisson", 'b'},
-          {"value_bytes", 'u'}, {"get_ratio", 'd'}, {"num_keys", 'u'},
-          {"per_op_cpu_ns", 'd'}, {"seed", 'u'}},
+         knobList({{"value_bytes", 'u'}, {"get_ratio", 'd'},
+                   {"num_keys", 'u'}, {"per_op_cpu_ns", 'd'},
+                   {"seed", 'u'}},
+                  {kNicKnobs}),
          buildMemcached},
         {"storage-server", true, true,
-         {{"packet_bytes", 'u'}, {"offered_gbps", 'd'},
-          {"num_queues", 'u'}, {"ring_entries", 'u'}, {"poisson", 'b'},
-          {"profile", 's'}, {"block_bytes", 'u'}, {"num_keys", 'u'},
-          {"get_ratio", 'd'}, {"mem_frac", 'd'}, {"per_op_cpu_ns", 'd'},
-          {"zipf_theta", 'd'}, {"iodepth", 'u'}, {"ack_bytes", 'u'},
-          {"seed", 'u'}, {"link_bw_bps", 'd'}, {"parallelism", 'u'}},
+         knobList({{"profile", 's'}, {"block_bytes", 'u'},
+                   {"num_keys", 'u'}, {"get_ratio", 'd'},
+                   {"mem_frac", 'd'}, {"per_op_cpu_ns", 'd'},
+                   {"zipf_theta", 'd'}, {"iodepth", 'u'},
+                   {"ack_bytes", 'u'}, {"seed", 'u'}},
+                  {kNicKnobs, kSsdKnobs}),
          buildStorageServer},
         {"xmem", false, false,
          {{"variant", 'u'}, {"cores", 'u'}, {"seed", 'u'}},
@@ -604,13 +645,7 @@ validateSpec(const ScenarioSpec &spec, const std::string &origin)
                                 "combine", w.name.c_str()));
         }
         for (const SpecKnob &k : w.steps) {
-            const KnobDef *def = nullptr;
-            for (const KnobDef &cand : kd->knobs) {
-                if (k.key == cand.key) {
-                    def = &cand;
-                    break;
-                }
-            }
+            const KnobDef *def = findKnob(kd, k.key);
             if (def == nullptr)
                 specErr(origin, k.line,
                         sformat("unknown knob '%s.step.%s' for kind "
@@ -646,13 +681,7 @@ validateSpec(const ScenarioSpec &spec, const std::string &origin)
                                 k.key.c_str()));
         }
         for (const SpecKnob &k : w.knobs) {
-            const KnobDef *def = nullptr;
-            for (const KnobDef &cand : kd->knobs) {
-                if (k.key == cand.key) {
-                    def = &cand;
-                    break;
-                }
-            }
+            const KnobDef *def = findKnob(kd, k.key);
             if (def == nullptr)
                 specErr(origin, k.line,
                         sformat("unknown knob '%s.%s' for kind '%s'",
@@ -1145,12 +1174,7 @@ expandReplicas(const ScenarioSpec &spec)
             continue;
         }
         const KindDef *kd = findKind(w.kind);
-        bool kind_seeded = false;
-        if (kd != nullptr) {
-            for (const KnobDef &def : kd->knobs)
-                kind_seeded =
-                    kind_seeded || std::strcmp(def.key, "seed") == 0;
-        }
+        const bool kind_seeded = findKnob(kd, "seed") != nullptr;
         bool seed_stepped = false;
         for (const SpecKnob &k : w.steps)
             seed_stepped = seed_stepped || k.key == "seed";
@@ -1163,13 +1187,7 @@ expandReplicas(const ScenarioSpec &spec)
             r.replicate = 1;
             r.steps.clear();
             for (const SpecKnob &k : w.steps) {
-                const KnobDef *def = nullptr;
-                for (const KnobDef &cand : kd->knobs) {
-                    if (k.key == cand.key) {
-                        def = &cand;
-                        break;
-                    }
-                }
+                const KnobDef *def = findKnob(kd, k.key);
                 double delta;
                 if (def == nullptr || !parseNum(k.value, delta))
                     specErr(origin, k.line,
@@ -2022,6 +2040,41 @@ viewFromName(const std::string &s, SweepRecordView &out)
     return false;
 }
 
+/** One `<axis>.<sub> = value` field (key, values, range, labels,
+ *  labels.<set>) of @p a; the sweep parser and the --set overrides
+ *  share it. */
+void
+applyAxisField(SweepAxis &a, const std::string &sub,
+               const std::string &value, const std::string &origin,
+               unsigned line)
+{
+    if (sub == "key") {
+        a.key = value;
+    } else if (sub == "values") {
+        a.values = splitList(value, ',');
+        a.range.clear();
+    } else if (sub == "range") {
+        a.values = expandRange(value, origin, line);
+        a.range = value;
+    } else if (sub == "labels") {
+        a.labels = splitList(value, ',');
+    } else if (sub.rfind("labels.", 0) == 0) {
+        const std::string set = sub.substr(7);
+        for (auto &ls : a.label_sets) {
+            if (ls.first == set) {
+                ls.second = splitList(value, ',');
+                return;
+            }
+        }
+        a.label_sets.emplace_back(set, splitList(value, ','));
+    } else {
+        specErr(origin, line,
+                sformat("unknown axis key '%s.%s' (want key, values, "
+                        "range, labels, or labels.<set>)",
+                        a.name.c_str(), sub.c_str()));
+    }
+}
+
 /** One spec-override assignment, plus the sweep-only "scenario" key
  *  that swaps the whole working spec for a registered one. */
 void
@@ -2389,20 +2442,14 @@ validSweepMetricExpr(const std::string &expr)
 namespace
 {
 
-/** Can @p key appear in a Record of @p g's record view? Per-workload
- *  "w<N>.*" keys of the scenario/spec views are workload-count
- *  dependent, so they pass as a pattern. */
+/** Can @p key appear in a Record of @p g's record view? The fixed
+ *  keys come from the views' own projections; per-workload "w<N>.*"
+ *  keys of the scenario/spec views are workload-count dependent, so
+ *  they pass as a pattern. */
 bool
 sweepRecordHasKey(const SweepSpec &spec, const SweepGrid &g,
                   const std::string &key)
 {
-    auto fixed = [&key](std::initializer_list<const char *> keys) {
-        for (const char *k : keys) {
-            if (key == k)
-                return true;
-        }
-        return false;
-    };
     auto perWorkload = [&key] {
         if (key.size() < 3 || key[0] != 'w')
             return false;
@@ -2424,21 +2471,25 @@ sweepRecordHasKey(const SweepSpec &spec, const SweepGrid &g,
         }
         return false;
       }
-      case SweepRecordView::Micro:
-        return fixed({"x1_ipc", "x1_hit", "x2_ipc", "x2_hit", "x3_ipc",
-                      "x3_hit", "net_tail_us", "net_rd_gbps",
-                      "past_events"});
-      case SweepRecordView::Scenario:
-        return perWorkload() ||
-               fixed({"workloads", "fc_nic_to_host_us",
-                      "fc_pointer_us", "fc_process_us", "ffsbh_read_ms",
-                      "ffsbh_regex_ms", "ffsbh_write_ms", "fc_rd_gbps",
-                      "fc_wr_gbps", "ffsbh_rd_gbps", "ffsbh_wr_gbps",
-                      "mem_rd_gbps", "mem_wr_gbps", "past_events"});
-      case SweepRecordView::Spec:
-        return perWorkload() ||
-               fixed({"workloads", "mem_rd_bw_bps", "mem_wr_bw_bps",
-                      "measure_ns", "scale", "past_events"});
+      case SweepRecordView::Micro: {
+        static const Record keys = toRecord(MicroResult{});
+        return keys.has(key);
+      }
+      case SweepRecordView::Scenario: {
+        static const Record keys = [] {
+            SpecResult canonical;
+            canonical.workloads.resize(2);
+            canonical.workloads[0].name = "fastclick";
+            canonical.workloads[1].name = "ffsb-h";
+            canonical.measure_window = 1;
+            return scenarioRecord(canonical);
+        }();
+        return perWorkload() || keys.has(key);
+      }
+      case SweepRecordView::Spec: {
+        static const Record keys = toRecord(SpecResult{});
+        return perWorkload() || keys.has(key);
+      }
     }
     return false;
 }
@@ -3021,36 +3072,7 @@ parseSweepSpec(const std::string &text, const std::string &origin)
             continue;
         }
         if (SweepAxis *a = spec.findAxis(prefix)) {
-            if (sub == "key") {
-                a->key = value;
-            } else if (sub == "values") {
-                a->values = splitList(value, ',');
-                a->range.clear();
-            } else if (sub == "range") {
-                a->values = expandRange(value, origin, line);
-                a->range = value;
-            } else if (sub == "labels") {
-                a->labels = splitList(value, ',');
-            } else if (sub.rfind("labels.", 0) == 0) {
-                const std::string set = sub.substr(7);
-                bool replaced = false;
-                for (auto &ls : a->label_sets) {
-                    if (ls.first == set) {
-                        ls.second = splitList(value, ',');
-                        replaced = true;
-                        break;
-                    }
-                }
-                if (!replaced)
-                    a->label_sets.emplace_back(set,
-                                               splitList(value, ','));
-            } else {
-                specErr(origin, line,
-                        sformat("unknown axis key '%s.%s' (want key, "
-                                "values, range, labels, or "
-                                "labels.<set>)", prefix.c_str(),
-                                sub.c_str()));
-            }
+            applyAxisField(*a, sub, value, origin, line);
             continue;
         }
         bool grid_found = false;
@@ -3283,46 +3305,16 @@ applySweepOverrides(SweepSpec &spec,
         if (a == nullptr)
             fatal(sformat("%s: unknown axis '%s' in '%s'",
                           origin.c_str(), prefix.c_str(), key.c_str()));
-        if (sub == "key") {
-            a->key = value;
-        } else if (sub == "values") {
-            a->values = splitList(value, ',');
-            a->range.clear();
-            // Redefined values invalidate any parallel label lists;
-            // names fall back to the values unless labels are also
-            // overridden in the same batch.
+        applyAxisField(*a, sub, value, origin, 0);
+        if (sub == "values" || sub == "range") {
+            // Redefined values invalidate any parallel label lists of
+            // another length; names fall back to the values unless
+            // labels are also overridden in the same batch.
             if (a->labels.size() != a->values.size())
                 a->labels.clear();
-            for (auto it = a->label_sets.begin();
-                 it != a->label_sets.end();) {
-                if (it->second.size() != a->values.size())
-                    it = a->label_sets.erase(it);
-                else
-                    ++it;
-            }
-        } else if (sub == "range") {
-            a->values = expandRange(value, origin, 0);
-            a->range = value;
-            a->labels.clear();
-            a->label_sets.clear();
-        } else if (sub == "labels") {
-            a->labels = splitList(value, ',');
-        } else if (sub.rfind("labels.", 0) == 0) {
-            const std::string set = sub.substr(7);
-            bool replaced = false;
-            for (auto &ls : a->label_sets) {
-                if (ls.first == set) {
-                    ls.second = splitList(value, ',');
-                    replaced = true;
-                    break;
-                }
-            }
-            if (!replaced)
-                a->label_sets.emplace_back(set, splitList(value, ','));
-        } else {
-            fatal(sformat("%s: unknown axis key '%s' (want key, "
-                          "values, range, labels, or labels.<set>)",
-                          origin.c_str(), key.c_str()));
+            std::erase_if(a->label_sets, [&](const auto &ls) {
+                return ls.second.size() != a->values.size();
+            });
         }
     }
     validateSweepSpec(spec, origin);

@@ -19,10 +19,10 @@
  * SpecResult with per-workload metrics. The paper's evaluation
  * scenarios (§7) are canonical specs in the named ScenarioRegistry —
  * microSpec()/realWorldSpec() reproduce the historical hand-wired
- * testbeds bit for bit, and microResultFromSpec()/
- * scenarioResultFromSpec() restate their SpecResults as the figure
- * structs — and the registry also carries mixes the paper never ran;
- * `a4sim` drives any of them from the command line.
+ * testbeds bit for bit, and microResultFromSpec()/scenarioRecord()
+ * project their SpecResults into the Fig. 11/12 and Fig. 13-15
+ * record views — and the registry also carries mixes the paper never
+ * ran; `a4sim` drives any of them from the command line.
  *
  * Ordering semantics an entry list pins down (they decide core/port/
  * address-map assignment, so they are part of the spec's identity):
@@ -208,8 +208,8 @@ bool kindMultithreadIo(const std::string &kind);
 // --------------------------------------------------------------------
 // Results
 
-/** Per-workload outcome of a spec run (everything the legacy result
- *  structs derive from, in raw unconverted units). */
+/** Per-workload outcome of a spec run (everything the record views
+ *  derive from, in raw unconverted units). */
 struct SpecWorkloadResult
 {
     std::string name;
@@ -508,12 +508,15 @@ double evalSweepMetric(const SpecResult &r, const std::string &expr);
 /** True when @p expr names a known metric field. */
 bool validSweepMetricExpr(const std::string &expr);
 
-/** @name MicroResult / ScenarioResult views of a SpecResult.
+/** @name The micro / scenario record views of a SpecResult.
  *  Bit-identical to the historical hand-wired micro / real-world
  *  conversion arithmetic; the workload names must match the
- *  canonical micro / realworld specs. @{ */
+ *  canonical micro / realworld specs (fatal otherwise). @{ */
 MicroResult microResultFromSpec(const SpecResult &sr);
-ScenarioResult scenarioResultFromSpec(const SpecResult &sr);
+/** The record = scenario Record (fig13/14/15 schema): "workloads",
+ *  per-workload w<i>.name/hpw/mtio/perf/hit/ant/tail_us, then the
+ *  Fig. 14 latency breakdowns, I/O and memory GB/s, past_events. */
+Record scenarioRecord(const SpecResult &sr);
 /** @} */
 
 } // namespace a4

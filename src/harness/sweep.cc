@@ -576,7 +576,7 @@ pointRecord(const ScenarioSpec &point_spec, SweepRecordView view,
         rec = toRecord(microResultFromSpec(r));
         break;
       case SweepRecordView::Scenario:
-        rec = toRecord(scenarioResultFromSpec(r));
+        rec = scenarioRecord(r);
         break;
       case SweepRecordView::Select:
         for (const SpecKnob &m : metrics)
@@ -684,14 +684,12 @@ evalCell(const SweepSpec &spec, const Sweep &sw, const SweepGrid &g,
     // agg: geometric-mean relative performance vs the table ref.
     if (rec == nullptr || ref_rec == nullptr)
         return {"-", found};
-    const ScenarioResult cur = scenarioResultFrom(*rec);
-    const ScenarioResult base = scenarioResultFrom(*ref_rec);
     const std::optional<bool> filter =
         cell.arg == "hp"
             ? std::optional<bool>(true)
             : cell.arg == "lp" ? std::optional<bool>(false)
                                : std::nullopt;
-    return {Table::num(ScenarioResult::avgRelative(cur, base, filter),
+    return {Table::num(avgRelativePerf(*rec, *ref_rec, filter),
                        cell.digits < 0 ? 2 : cell.digits),
             found};
 }
@@ -756,83 +754,66 @@ renderWorkloadTable(const SweepSpec &spec, const Sweep &sw,
     const SweepGrid &g = *spec.findGrid(w.grid);
     const SweepAxis &sa = *spec.findAxis(w.scheme_axis);
 
-    auto resultFor =
-        [&](const std::string &value) -> std::optional<ScenarioResult> {
+    // The Record of the point at scheme-axis value @p value (null
+    // when filtered out or "").
+    auto recordFor = [&](const std::string &value) -> const Record * {
+        if (value.empty())
+            return nullptr;
         SweepBinding b;
         bindPairs(spec, b, w.fix);
         bindSet(b, sa.name, sa.indexOf(value));
-        if (const Record *rec = pointRecord(spec, sw, g, b, origin))
-            return scenarioResultFrom(*rec);
-        return std::nullopt;
+        return pointRecord(spec, sw, g, b, origin);
     };
-
-    std::vector<std::string> wanted{w.baseline};
-    auto want = [&](const std::string &v) {
-        if (v.empty())
-            return;
-        for (const std::string &have : wanted) {
-            if (have == v)
-                return;
-        }
-        wanted.push_back(v);
-    };
+    const Record *base = recordFor(w.baseline);
+    std::vector<const Record *> cols;
     for (const std::string &c : w.columns)
-        want(c);
-    want(w.star);
-    want(w.hit);
+        cols.push_back(recordFor(c));
+    const Record *star = recordFor(w.star);
+    const Record *hit = recordFor(w.hit);
 
-    std::vector<std::pair<std::string, std::optional<ScenarioResult>>>
-        results;
-    for (const std::string &v : wanted)
-        results.emplace_back(v, resultFor(v));
-    auto lookup = [&](const std::string &v)
-        -> const std::optional<ScenarioResult> & {
-        for (const auto &[name, r] : results) {
-            if (name == v)
-                return r;
-        }
-        static const std::optional<ScenarioResult> none;
-        return none;
-    };
-
-    if (!lookup(w.baseline)) {
+    if (base == nullptr) {
         // Every column is relative to the baseline; without it the
         // table is unprintable — but say so when other points did
         // run, instead of silently dropping their results.
-        for (const auto &[name, r] : results) {
-            if (r) {
-                std::fputs(w.skip_text.c_str(), stdout);
-                break;
-            }
-        }
+        bool any = star != nullptr || hit != nullptr;
+        for (const Record *r : cols)
+            any = any || r != nullptr;
+        if (any)
+            std::fputs(w.skip_text.c_str(), stdout);
         return;
     }
-    const ScenarioResult &base = *lookup(w.baseline);
 
     if (!w.title.empty())
         std::fputs(w.title.c_str(), stdout);
     Table t(w.headers);
-    for (const auto &wl : base.workloads) {
-        auto rel = [&](const std::string &col) {
-            const std::optional<ScenarioResult> &r = lookup(col);
-            if (!r)
-                return std::string("-");
-            const WorkloadResult *res = r->find(wl.name);
-            return Table::num(ratio(res ? res->perf : 0.0, wl.perf));
+    const std::size_t n = std::size_t(base->num("workloads"));
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::string bp = sformat("w%zu.", i);
+        const std::string &name = base->str(bp + "name");
+        const double base_perf = base->num(bp + "perf");
+        // The key prefix of this workload in @p r ("" = absent).
+        auto in = [&name](const Record *r) {
+            return r != nullptr ? recordWorkload(*r, name)
+                                : std::string();
         };
-        const WorkloadResult *d = nullptr;
-        if (!w.star.empty() && lookup(w.star))
-            d = lookup(w.star)->find(wl.name);
+        const std::string sp = in(star);
         std::vector<std::string> cells{
-            wl.name + (d != nullptr && d->antagonist ? "*" : ""),
-            wl.hpw ? "HP" : "LP"};
-        for (const std::string &col : w.columns)
-            cells.push_back(rel(col));
+            name + (!sp.empty() && star->num(sp + "ant") != 0.0 ? "*"
+                                                                 : ""),
+            base->num(bp + "hpw") != 0.0 ? "HP" : "LP"};
+        for (const Record *r : cols) {
+            if (r == nullptr) {
+                cells.push_back("-");
+                continue;
+            }
+            const std::string p = in(r);
+            cells.push_back(Table::num(
+                ratio(p.empty() ? 0.0 : r->num(p + "perf"), base_perf)));
+        }
         if (!w.hit.empty()) {
-            const WorkloadResult *h =
-                lookup(w.hit) ? lookup(w.hit)->find(wl.name) : nullptr;
-            cells.push_back(h != nullptr ? Table::pct(h->llc_hit_rate)
-                                         : std::string("-"));
+            const std::string hp = in(hit);
+            cells.push_back(hp.empty() ? std::string("-")
+                                       : Table::pct(hit->num(hp + "hit")));
         }
         t.addRow(std::move(cells));
     }
@@ -843,12 +824,11 @@ renderWorkloadTable(const SweepSpec &spec, const Sweep &sw,
     Table avg(w.agg_headers);
     auto row = [&](const char *label, std::optional<bool> filter) {
         std::vector<std::string> cells{label};
-        for (const std::string &col : w.columns) {
-            const std::optional<ScenarioResult> &r = lookup(col);
-            cells.push_back(
-                r ? Table::num(
-                        ScenarioResult::avgRelative(*r, base, filter))
-                  : std::string("-"));
+        for (const Record *r : cols) {
+            cells.push_back(r != nullptr
+                                ? Table::num(
+                                      avgRelativePerf(*r, *base, filter))
+                                : std::string("-"));
         }
         avg.addRow(cells);
     };

@@ -135,9 +135,6 @@ class Sweep
     const std::string &bench() const { return bench_; }
     const SweepOptions &options() const { return opt_; }
 
-    /** What the failure model had to do during run(). */
-    const DispatchStats &dispatchStats() const { return stats_; }
-
     /**
      * Write collected results to @p path as JSON:
      * { "bench": ..., "schema_version": 1, "jobs": N,

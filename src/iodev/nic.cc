@@ -1,5 +1,6 @@
 #include "iodev/nic.hh"
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -45,6 +46,13 @@ Nic::Nic(Engine &eng_, DmaEngine &dma_, AddressMap &addrs, PortId port_,
 {
     if (cfg.num_queues == 0 || cfg.ring_entries == 0)
         fatal("Nic: queues and ring entries must be non-zero");
+    // interarrival() divides by both: zero, negative or non-finite
+    // rates would cast inf/NaN gaps to Tick.
+    if (!(cfg.offered_gbps > 0.0) || !std::isfinite(cfg.offered_gbps))
+        fatal(sformat("Nic: offered_gbps must be finite and > 0 (got "
+                      "%g)", cfg.offered_gbps));
+    if (cfg.packet_bytes == 0)
+        fatal("Nic: packet_bytes must be > 0");
     if (cfg.packet_bytes < kLineBytes)
         warn("Nic: packet smaller than a cache line; rounded up on DMA");
 

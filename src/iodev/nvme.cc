@@ -34,7 +34,7 @@ SsdArray::SsdArray(Engine &eng_, DmaEngine &dma_, PortId port_,
     : eng(eng_), dma(dma_), csys(dma_.cacheSystem()), port(port_),
       cfg(config)
 {
-    if (cfg.link_bw_bps <= 0.0)
+    if (!(cfg.link_bw_bps > 0.0)) // NaN fails too
         fatal("SsdArray: link bandwidth must be positive");
     if (cfg.parallelism == 0)
         fatal("SsdArray: parallelism must be >= 1");

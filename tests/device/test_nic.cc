@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "iodev/nic.hh"
 
 using namespace a4;
@@ -55,6 +58,31 @@ struct Rig
 };
 
 } // namespace
+
+TEST(Nic, RejectsOutOfRangeRates)
+{
+    // interarrival() divides by the rate and the packet size; each of
+    // these would cast an inf/NaN gap to Tick.
+    auto expectRejected = [](NicConfig cfg, const char *knob) {
+        Rig r;
+        try {
+            r.makeNic(cfg);
+            ADD_FAILURE() << "accepted a bad " << knob;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(knob),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    for (double gbps : {0.0, -5.0, std::nan(""), HUGE_VAL}) {
+        NicConfig cfg;
+        cfg.offered_gbps = gbps;
+        expectRejected(cfg, "offered_gbps");
+    }
+    NicConfig cfg;
+    cfg.packet_bytes = 0;
+    expectRejected(cfg, "packet_bytes");
+}
 
 TEST(Nic, DeliversAtConfiguredRate)
 {

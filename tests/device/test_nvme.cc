@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "duration_scale.hh"
 #include "iodev/nvme.hh"
 
@@ -196,4 +198,7 @@ TEST(Nvme, RejectsBadConfig)
     SsdConfig cfg2;
     cfg2.link_bw_bps = -1;
     EXPECT_THROW(r.makeSsd(cfg2), FatalError);
+    SsdConfig cfg3;
+    cfg3.link_bw_bps = std::nan("");
+    EXPECT_THROW(r.makeSsd(cfg3), FatalError);
 }

@@ -16,6 +16,7 @@
 #include "duration_scale.hh"
 #include "harness/builders.hh"
 #include "harness/experiment.hh"
+#include "harness/sweep.hh"
 
 using namespace a4;
 using a4::test::stretch;

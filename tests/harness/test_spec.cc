@@ -3,7 +3,7 @@
  * Tests for the declarative scenario layer (harness/spec.hh): the
  * text codec (bit-exact round-trips, line-numbered rejection), the
  * registry, the generic runSpec() runner's byte-identity with the
- * hand-restated figure structs, and determinism of the non-paper
+ * hand-restated figure record views, and determinism of the non-paper
  * mixes under the A4_SEED stream selector.
  */
 
@@ -11,7 +11,9 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
 
+#include "harness/scaling.hh"
 #include "harness/spec.hh"
 #include "sim/rng.hh"
 
@@ -181,6 +183,41 @@ TEST(Spec, RejectsBadPinAndBadA4Field)
     expectParseError("a4.t5 = hot\n", "spec.txt:1: bad value 'hot'");
 }
 
+TEST(Spec, RejectsNonFiniteNumbers)
+{
+    // strtod reads these; no numeric knob may take them.
+    for (const char *bad : {"nan", "inf", "-inf", "infinity"}) {
+        expectParseError(std::string("workload = d\nd.kind = dpdk\n"
+                                     "d.offered_gbps = ") +
+                             bad + "\n",
+                         std::string("spec.txt:3: bad value '") + bad +
+                             "' for 'd.offered_gbps'");
+        expectParseError(std::string("a4.t5 = ") + bad + "\n",
+                         std::string("spec.txt:1: bad value '") + bad);
+    }
+}
+
+TEST(Spec, OutOfRangeNicRatesFailBeforeTheRun)
+{
+    const std::pair<const char *, const char *> cases[] = {
+        {"dpdk-t.offered_gbps=0", "offered_gbps"},
+        {"dpdk-t.offered_gbps=nan", "offered_gbps"},
+        {"dpdk-t.offered_gbps=-5", "offered_gbps"},
+        {"dpdk-t.packet_bytes=0", "packet_bytes"},
+    };
+    for (const auto &[assignment, knob] : cases) {
+        try {
+            ScenarioSpec s = microSpec(1024, 2 * kMiB);
+            applySpecOverride(s, assignment);
+            runSpecWithWindows(s, tinyWindows());
+            ADD_FAILURE() << assignment << " was accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(knob), std::string::npos)
+                << assignment << ": " << e.what();
+        }
+    }
+}
+
 TEST(Spec, OverrideAppliesAndValidates)
 {
     ScenarioSpec s = microSpec(1024, 2 * kMiB);
@@ -261,36 +298,42 @@ TEST(Spec, MicroSpecMatchesLegacyRunnerBitExactly)
 TEST(Spec, RealWorldSpecMatchesLegacyRunnerBitExactly)
 {
     // A fig13 point (HPW-heavy, Default) at compressed windows: the
-    // runner path (scenarioResultFromSpec over realWorldSpec with the
-    // scheme set) vs the text-codec round-tripped spec, restated by
-    // hand.
+    // scenario-view Record of the runner path (realWorldSpec with the
+    // scheme set) vs the text-codec round-tripped spec's SpecResult,
+    // restated by hand with the historical conversion arithmetic.
     const Windows win = tinyWindows();
 
     ScenarioSpec direct = realWorldSpec(true);
     direct.scheme = Scheme::Default;
-    const ScenarioResult runner =
-        scenarioResultFromSpec(runSpecWithWindows(direct, win));
+    const Record runner = scenarioRecord(runSpecWithWindows(direct, win));
 
     ScenarioSpec spec = parseSpec(serializeSpec(realWorldSpec(true)));
     SpecResult sr = runSpecWithWindows(spec, win);
 
-    ASSERT_EQ(sr.workloads.size(), runner.workloads.size());
+    ASSERT_EQ(runner.num("workloads"), double(sr.workloads.size()));
     for (std::size_t i = 0; i < sr.workloads.size(); ++i) {
         const SpecWorkloadResult &w = sr.workloads[i];
-        const WorkloadResult &l = runner.workloads[i];
-        EXPECT_EQ(w.name, l.name);
-        EXPECT_EQ(w.hpw, l.hpw);
-        EXPECT_EQ(w.multithread_io, l.multithread_io);
-        EXPECT_EQ(w.perf, l.perf) << w.name;
-        EXPECT_EQ(w.llc_hit_rate, l.llc_hit_rate) << w.name;
-        EXPECT_EQ(w.tail_latency_us, l.tail_latency_us) << w.name;
+        const std::string p = sformat("w%zu.", i);
+        EXPECT_EQ(runner.str(p + "name"), w.name);
+        EXPECT_EQ(runner.num(p + "hpw"), w.hpw ? 1.0 : 0.0);
+        EXPECT_EQ(runner.num(p + "mtio"), w.multithread_io ? 1.0 : 0.0);
+        EXPECT_EQ(runner.num(p + "perf"), w.perf) << w.name;
+        EXPECT_EQ(runner.num(p + "hit"), w.llc_hit_rate) << w.name;
+        EXPECT_EQ(runner.num(p + "ant"), w.antagonist ? 1.0 : 0.0);
+        EXPECT_EQ(runner.num(p + "tail_us"), w.tail_latency_us) << w.name;
     }
     const SpecWorkloadResult *fc = sr.find("fastclick");
+    const SpecWorkloadResult *fh = sr.find("ffsb-h");
     ASSERT_NE(fc, nullptr);
-    EXPECT_EQ(fc->nic_to_host_ns / 1000.0, runner.fc_nic_to_host_us);
+    ASSERT_NE(fh, nullptr);
+    EXPECT_EQ(runner.num("fc_nic_to_host_us"), fc->nic_to_host_ns / 1000.0);
+    EXPECT_EQ(runner.num("ffsbh_regex_ms"), fh->regex_ns / 1e6);
     const double to_gbps = 1e9 / double(win.measure) * sr.scale / 1e9;
-    EXPECT_EQ(fc->ingress_bytes * to_gbps, runner.fc_rd_gbps);
-    EXPECT_EQ(sr.past_events, runner.past_events);
+    EXPECT_EQ(runner.num("fc_rd_gbps"), fc->ingress_bytes * to_gbps);
+    EXPECT_EQ(runner.num("ffsbh_wr_gbps"), fh->egress_bytes * to_gbps);
+    EXPECT_EQ(runner.num("mem_rd_gbps"),
+              unscaleBw(sr.mem_rd_bw_bps, sr.scale) / 1e9);
+    EXPECT_EQ(runner.num("past_events"), sr.past_events);
 }
 
 TEST(Spec, SpecResultRecordRoundTrips)

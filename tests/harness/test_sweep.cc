@@ -242,47 +242,3 @@ TEST(SweepOptions, EffectiveJobsHonoursEnv)
     if (saved)
         setenv("A4_JOBS", saved_val.c_str(), 1);
 }
-
-TEST(ScenarioCodec, ScenarioResultRoundTrips)
-{
-    ScenarioResult s;
-    for (int i = 0; i < 3; ++i) {
-        WorkloadResult w;
-        w.name = "wl-" + std::to_string(i);
-        w.hpw = i == 0;
-        w.multithread_io = i == 1;
-        w.perf = 1.0 / 3.0 * (i + 1);
-        w.llc_hit_rate = 0.9 - 0.1 * i;
-        w.antagonist = i == 2;
-        w.tail_latency_us = 100.5 * i;
-        s.workloads.push_back(w);
-    }
-    s.fc_nic_to_host_us = 1.5;
-    s.ffsbh_regex_ms = 2.25;
-    s.mem_rd_gbps = 40.0 / 3.0;
-    s.past_events = 3.0;
-
-    ScenarioResult back = scenarioResultFrom(
-        Record::deserialize(toRecord(s).serialize()));
-    ASSERT_EQ(back.workloads.size(), 3u);
-    for (int i = 0; i < 3; ++i) {
-        EXPECT_EQ(back.workloads[i].name, s.workloads[i].name);
-        EXPECT_EQ(back.workloads[i].hpw, s.workloads[i].hpw);
-        EXPECT_EQ(back.workloads[i].multithread_io,
-                  s.workloads[i].multithread_io);
-        EXPECT_EQ(back.workloads[i].perf, s.workloads[i].perf);
-        EXPECT_EQ(back.workloads[i].llc_hit_rate,
-                  s.workloads[i].llc_hit_rate);
-        EXPECT_EQ(back.workloads[i].antagonist,
-                  s.workloads[i].antagonist);
-        EXPECT_EQ(back.workloads[i].tail_latency_us,
-                  s.workloads[i].tail_latency_us);
-    }
-    EXPECT_EQ(back.fc_nic_to_host_us, s.fc_nic_to_host_us);
-    EXPECT_EQ(back.ffsbh_regex_ms, s.ffsbh_regex_ms);
-    EXPECT_EQ(back.mem_rd_gbps, s.mem_rd_gbps);
-    EXPECT_EQ(back.past_events, s.past_events);
-    // find() still works on the reconstructed struct.
-    ASSERT_NE(back.find("wl-1"), nullptr);
-    EXPECT_EQ(back.find("nope"), nullptr);
-}

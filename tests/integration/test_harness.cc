@@ -127,17 +127,26 @@ TEST(Scenarios, SchemeNamesAndLetters)
 
 TEST(Scenarios, AvgRelativeIsGeometricMean)
 {
-    ScenarioResult base, r;
-    for (int i = 0; i < 2; ++i) {
-        WorkloadResult wb;
-        wb.name = "w" + std::to_string(i);
-        wb.hpw = true;
-        wb.perf = 1.0;
-        base.workloads.push_back(wb);
-        WorkloadResult wr = wb;
-        wr.perf = i == 0 ? 2.0 : 0.5; // geometric mean = 1.0
-        r.workloads.push_back(wr);
-    }
-    EXPECT_NEAR(ScenarioResult::avgRelative(r, base, true), 1.0, 1e-9);
-    EXPECT_DOUBLE_EQ(ScenarioResult::avgRelative(r, base, false), 0.0);
+    // Spec/scenario-view per-workload keys, written directly; the
+    // run lists its workloads in another order than the baseline.
+    auto record = [](std::initializer_list<std::pair<const char *, double>>
+                         wls) {
+        Record r;
+        r.set("workloads", double(wls.size()));
+        std::size_t i = 0;
+        for (const auto &[name, perf] : wls) {
+            const std::string p = "w" + std::to_string(i++) + ".";
+            r.set(p + "name", std::string(name));
+            r.set(p + "hpw", 1.0);
+            r.set(p + "perf", perf);
+        }
+        return r;
+    };
+    const Record base = record({{"w0", 1.0}, {"w1", 1.0}});
+    const Record r = record({{"w1", 0.5}, {"w0", 2.0}}); // gmean = 1.0
+    EXPECT_NEAR(avgRelativePerf(r, base, true), 1.0, 1e-9);
+    EXPECT_NEAR(avgRelativePerf(r, base, std::nullopt), 1.0, 1e-9);
+    EXPECT_DOUBLE_EQ(avgRelativePerf(r, base, false), 0.0);
+    EXPECT_EQ(recordWorkload(r, "w0"), "w1.");
+    EXPECT_EQ(recordWorkload(r, "nope"), "");
 }
