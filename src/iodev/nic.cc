@@ -92,12 +92,14 @@ Nic::~Nic()
 }
 
 void
-Nic::attachConsumer(unsigned q, WorkloadId wl, CoreId core)
+Nic::attachConsumer(unsigned q, WorkloadId wl, CoreId core,
+                    Engine::Recurring *poller)
 {
     if (q >= queues.size())
         fatal(sformat("Nic: queue %u out of range", q));
     queues[q].owner = wl;
     queues[q].consumer = core;
+    queues[q].poller = poller;
 }
 
 void
@@ -108,8 +110,13 @@ Nic::start()
     running = true;
     // Seed one pending arrival per queue, in queue order — the same
     // RNG draw order as scheduling one initial event per queue.
-    for (unsigned q = 0; q < cfg.num_queues; ++q)
+    for (unsigned q = 0; q < cfg.num_queues; ++q) {
         drawNext(q, eng.now());
+        // A poller that slept while the NIC was stopped (or on an
+        // arrival drawn before a stop) must see this one in time.
+        if (queues[q].poller != nullptr)
+            queues[q].poller->wakeBy(queues[q].next_tick);
+    }
     csys.noteDeferredTick(*this);
     if (cfg.burst_interval == 0)
         step_ev.armAt(deferredTick());

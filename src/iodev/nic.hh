@@ -35,6 +35,12 @@
  * what both modes share; it makes same-tick behaviour deterministic
  * by construction instead of by scheduling history. See
  * docs/ARCHITECTURE.md.
+ *
+ * Because arrivals are drawn one per queue ahead of time,
+ * nextArrival(q) tells a poll-mode consumer when its ring can next
+ * grow, so an idle poll can sleep until then (Recurring::sleep). Only
+ * start() draws arrivals out of order, so it is the one place that
+ * has to wake a sleeping poller early (attachConsumer()'s poller).
  */
 
 #ifndef A4_IODEV_NIC_HH
@@ -110,9 +116,12 @@ class Nic : public DeferredIoSource
 
     /**
      * Attach the consumer of queue @p q: the owning workload (buffer
-     * attribution) and the core whose MLC may cache ring lines.
+     * attribution), the core whose MLC may cache ring lines and,
+     * optionally, the poll actor that may sleep until nextArrival(q)
+     * (start() wakes it by the new first arrival).
      */
-    void attachConsumer(unsigned q, WorkloadId wl, CoreId core);
+    void attachConsumer(unsigned q, WorkloadId wl, CoreId core,
+                        Engine::Recurring *poller = nullptr);
 
     /** Begin generating traffic. */
     void start();
@@ -126,6 +135,17 @@ class Nic : public DeferredIoSource
 
     /** Pending packets in queue @p q (ring occupancy). */
     std::size_t pending(unsigned q);
+
+    /**
+     * Tick of queue @p q's next arrival, Engine::kNever while
+     * stopped. Arrivals up to now() are applied, so after pop() or
+     * pending() it is the first tick at which the ring can grow.
+     */
+    Tick
+    nextArrival(unsigned q) const
+    {
+        return running ? queues[q].next_tick : Engine::kNever;
+    }
 
     /**
      * Transmit (egress): device DMA-reads @p bytes at @p addr on
@@ -155,6 +175,7 @@ class Nic : public DeferredIoSource
         unsigned next_slot = 0;
         WorkloadId owner = kNoWorkload;
         CoreId consumer = 0;
+        Engine::Recurring *poller = nullptr; ///< may sleep on next_tick
         Tick next_tick = 0;          ///< pending arrival timestamp
         std::uint64_t next_seq = 0;  ///< generation order (tie-break)
     };

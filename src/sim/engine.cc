@@ -1,5 +1,7 @@
 #include "sim/engine.hh"
 
+#include <algorithm>
+
 #include "sim/log.hh"
 
 namespace a4
@@ -69,10 +71,71 @@ Engine::checkWhen(Tick when)
     return when;
 }
 
+bool
+Engine::forkBefore(const Fork *a, const Fork *b)
+{
+    // Walk both paths from the first fork on; shared forks are the
+    // same records.
+    std::vector<const Fork *> pa, pb;
+    for (; a != nullptr; a = a->up)
+        pa.push_back(a);
+    for (; b != nullptr; b = b->up)
+        pb.push_back(b);
+    auto ia = pa.rbegin(), ib = pb.rbegin();
+    for (; ia != pa.rend() && ib != pb.rend(); ++ia, ++ib) {
+        if (*ia == *ib)
+            continue;
+        if ((*ia)->tick != (*ib)->tick)
+            return (*ia)->tick > (*ib)->tick; // b branched off first
+        return (*ia)->index < (*ib)->index;
+    }
+    return ia == pa.rend() && ib != pb.rend();
+}
+
+void
+Engine::addSleeper(const Sleeper &s)
+{
+    sleepers_.push_back(s);
+    std::push_heap(sleepers_.begin(), sleepers_.end(),
+                   sleeperAfter);
+    wake_next_ = sleepers_.front().wake;
+}
+
+void
+Engine::wake()
+{
+    std::pop_heap(sleepers_.begin(), sleepers_.end(),
+                  sleeperAfter);
+    const Sleeper s = sleepers_.back();
+    sleepers_.pop_back();
+    wake_next_ = sleepers_.empty() ? kNever : sleepers_.front().wake;
+    if (s.slot->gen != s.gen)
+        return; // cancelled or re-initialised since sleeping
+    now_ = s.wake;
+    // The firing the skipped re-arms lead to: scheduled by a firing
+    // one period back, on the sleeper's chain.
+    const QueuedEvent ev{static_cast<unsigned __int128>(s.wake) << 64,
+                         s.slot, s.gen, capDelay(s.period), kFiring,
+                         s.chain};
+    cur_ = &ev;
+    cur_ord_ = fired++;
+    cur_children_.clear();
+    s.slot->cb.invoke(); // a Recurring slot: sticky, never freed here
+}
+
 void
 Engine::runUntil(Tick when)
 {
-    while (has_front && whenOf(front) <= when) {
+    running_ = true;
+    for (;;) {
+        const bool due = has_front && whenOf(front) <= when;
+        if (wake_next_ <= (due ? whenOf(front) : when) &&
+            (!due || wakesBefore(sleepers_.front(), front))) {
+            wake();
+            continue;
+        }
+        if (!due)
+            break;
         const QueuedEvent ev = front;
         // Refill the front cache before running the callback;
         // anything it schedules re-enters through the enqueue paths.
@@ -81,7 +144,9 @@ Engine::runUntil(Tick when)
         if (s.gen != ev.gen)
             continue; // cancelled or re-initialised since queuing
         now_ = whenOf(ev);
-        ++fired;
+        cur_ = &ev;
+        cur_ord_ = fired++;
+        cur_children_.clear();
         // Invoke in place: chunked storage keeps the capture's address
         // stable even if the callback grows the slab by scheduling.
         s.cb.invoke();
@@ -92,8 +157,10 @@ Engine::runUntil(Tick when)
         if (!s.sticky && s.gen == ev.gen)
             freeSlot(s);
     }
+    running_ = false;
     if (now_ < when)
         now_ = when;
+    closed_ = now_;
 }
 
 } // namespace a4

@@ -29,6 +29,20 @@
  * Actors whose event rate would dominate the queue batch themselves
  * through Engine::Batch — one firing per interval that expands into
  * many timestamped sub-events (see the NIC's burst arrival path).
+ *
+ * Sleeping: a poll loop that finds nothing to do re-arms every p
+ * ticks, and each of those firings is a no-op until its input
+ * arrives. Recurring::sleep(p, until) skips them: the actor fires
+ * next at the first tick of its grid (now + k·p) at or after
+ * `until`, in exactly the slot its chain of no-op re-arms would have
+ * reached. Skipping changes sequence numbers, not order, so the
+ * engine keeps a little provenance per queued firing (its delay,
+ * whether a firing scheduled it, and its p-chain) and merges the
+ * sleepers in at their wake tick W by the tie rule: an event
+ * scheduled before tick W−p's firings fires first, one scheduled
+ * after them fires second, and one scheduled by a W−p firing exactly
+ * p ahead is ordered by comparing p-chains (chainBefore()). See
+ * docs/ARCHITECTURE.md for the argument.
  */
 
 #ifndef A4_SIM_ENGINE_HH
@@ -36,6 +50,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <queue>
@@ -55,6 +70,10 @@ class Engine
     Engine() = default;
     Engine(const Engine &) = delete;
     Engine &operator=(const Engine &) = delete;
+
+    /** A tick no event reaches (Recurring::sleep() until it sleeps
+     *  until woken by Recurring::wakeBy()). */
+    static constexpr Tick kNever = ~Tick(0);
 
     /** Current simulated time. */
     Tick now() const { return now_; }
@@ -97,7 +116,8 @@ class Engine
     std::size_t
     pending() const
     {
-        std::size_t n = queue.size() + (has_front ? 1 : 0);
+        std::size_t n =
+            queue.size() + (has_front ? 1 : 0) + sleepers_.size();
         for (const DelayFifo &f : fifos_)
             n += f.size;
         return n;
@@ -146,12 +166,57 @@ class Engine
         bool sticky = false; ///< recurring slot: survives firing
     };
 
-    /** Priority-queue entry: one-compare key + slot reference. */
+    /** How a firing was scheduled relative to the firings of the
+     *  tick it was scheduled at. */
+    enum Origin : std::uint32_t
+    {
+        kBefore, ///< before any of them (set-up, before the first run)
+        kFiring, ///< by one of them
+        kAfter,  ///< after them: between runUntil() windows, or by a
+                 ///< firing that runs after its tick's window closed
+    };
+
+    /** A fork in a p-chain: the @c index-th (>= 1) firing p ahead
+     *  that the firing at @c tick scheduled; @c up is the previous
+     *  fork on the same path. */
+    struct Fork
+    {
+        Tick tick;
+        std::uint32_t index;
+        const Fork *up;
+    };
+
+    /**
+     * A p-chain: a run of firings, each scheduled by the previous
+     * one's firing exactly p ticks ahead, back to a first firing that
+     * was not. A firing that schedules several firings p ahead forks
+     * the chain; each branch after the first records the fork. Chains
+     * that both reach a tick keep the order they had where they
+     * parted (chainBefore()).
+     */
+    struct Chain
+    {
+        Tick start = 0;                ///< tick of the first firing
+        std::uint64_t ord : 63 = 0;    ///< its firing ordinal
+        std::uint64_t early : 1 = 0;   ///< scheduled before tick
+                                       ///< start − p's firings
+        const Fork *fork = nullptr;    ///< last fork on this branch
+    };
+
+    /** Delays are kept saturated to 30 bits; sleep periods stay
+     *  below the cap, so a capped delay only ever compares larger. */
+    static constexpr Tick kDelayCap = (Tick(1) << 30) - 1;
+
+    /** Priority-queue entry: one-compare key + slot reference, plus
+     *  the provenance the sleep tie rule reads. */
     struct QueuedEvent
     {
         unsigned __int128 key; ///< (when << 64) | sequence
         Slot *slot;
         std::uint32_t gen;
+        std::uint32_t delay : 30; ///< when − scheduling tick (capped)
+        std::uint32_t origin : 2;
+        Chain chain; ///< its p-chain, p = delay (kFiring only)
     };
 
     struct Later
@@ -174,6 +239,89 @@ class Engine
         return (static_cast<unsigned __int128>(when) << 64) |
                next_seq++;
     }
+
+    static std::uint32_t
+    capDelay(Tick d)
+    {
+        return static_cast<std::uint32_t>(d < kDelayCap ? d : kDelayCap);
+    }
+
+    /** The p-chain, p = @p d, of a firing the current one schedules
+     *  @p d ticks ahead: the current firing's own chain if it was
+     *  scheduled by a firing d ticks back, else a chain starting at
+     *  the current firing. */
+    Chain
+    chainFor(Tick d)
+    {
+        const std::uint32_t cd = capDelay(d);
+        Chain c;
+        if (cur_->origin == kFiring && cur_->delay == cd) {
+            c = cur_->chain;
+        } else {
+            c.start = now_;
+            c.ord = cur_ord_;
+            c.early = cur_->delay > cd ||
+                      (cur_->delay == cd && cur_->origin == kBefore);
+        }
+        if (const std::uint32_t k = childIndex(cd)) {
+            forks_.push_back(Fork{now_, k, c.fork});
+            c.fork = &forks_.back();
+        }
+        return c;
+    }
+
+    /** How many firings @p cd ahead the current firing scheduled
+     *  before this one (counting it). */
+    std::uint32_t
+    childIndex(std::uint32_t cd)
+    {
+        for (auto &[delay, n] : cur_children_) {
+            if (delay == cd)
+                return n++;
+        }
+        cur_children_.emplace_back(cd, 1);
+        return 0;
+    }
+
+    /** Queue entry for a firing of @p s at @p when (>= now()). */
+    QueuedEvent
+    queued(Tick when, Slot &s)
+    {
+        QueuedEvent ev{makeKey(when), &s, s.gen, capDelay(when - now_),
+                       kFiring, Chain{}};
+        if (now_ == closed_)
+            ev.origin = kAfter;
+        else if (!running_)
+            ev.origin = kBefore;
+        else
+            ev.chain = chainFor(when - now_);
+        return ev;
+    }
+
+    /**
+     * Whether chain @p a fires before chain @p b at a tick both reach
+     * (same period). Chains that start at the same tick keep their
+     * firing order there; otherwise the later-starting one fires
+     * first exactly when it was scheduled before the firings of the
+     * tick one period before its start. So early chains come first,
+     * latest start first, and the rest follow in firing order.
+     */
+    static bool
+    chainBefore(const Chain &a, const Chain &b)
+    {
+        if (a.ord == b.ord) // one first firing: branches of a fork
+            return forkBefore(a.fork, b.fork);
+        if (a.early != b.early)
+            return a.early;
+        if (a.early && a.start != b.start)
+            return a.start > b.start;
+        return a.ord < b.ord;
+    }
+
+    /** Branch order of one chain: at the first fork where the paths
+     *  part, the branch scheduled first (index 0: no fork recorded)
+     *  fires first. */
+    static bool forkBefore(const Fork *a, const Fork *b);
 
     Slot &
     allocSlot()
@@ -299,8 +447,57 @@ class Engine
     {
         Slot &s = allocSlot();
         s.cb.emplace(std::forward<F>(fn));
-        return QueuedEvent{makeKey(when), &s, s.gen};
+        return queued(when, s);
     }
+
+    /** A Recurring skipping its no-op re-arms until @c wake. */
+    struct Sleeper
+    {
+        Tick wake;
+        Tick period;
+        Chain chain; ///< of the skipped re-arms (p = period)
+        Slot *slot;
+        std::uint32_t gen;
+    };
+
+    /** Whether sleeper @p a fires before sleeper @p b: earlier wake,
+     *  then the longer period (its re-arm was scheduled a tick
+     *  earlier), then chain order. */
+    static bool
+    sleeperBefore(const Sleeper &a, const Sleeper &b)
+    {
+        if (a.wake != b.wake)
+            return a.wake < b.wake;
+        if (a.period != b.period)
+            return a.period > b.period;
+        return chainBefore(a.chain, b.chain);
+    }
+    /** Heap order for sleepers_ (the first to fire on top). */
+    static bool
+    sleeperAfter(const Sleeper &a, const Sleeper &b)
+    {
+        return sleeperBefore(b, a);
+    }
+
+    /** Whether sleeper @p s fires before queued event @p e. */
+    static bool
+    wakesBefore(const Sleeper &s, const QueuedEvent &e)
+    {
+        if (s.wake != whenOf(e))
+            return s.wake < whenOf(e);
+        // Same tick W: the skipped re-arm was scheduled during tick
+        // W − p's firings.
+        const std::uint32_t p = capDelay(s.period);
+        if (e.delay != p)
+            return e.delay < p; // e scheduled after (before) W − p
+        if (e.origin != kFiring)
+            return e.origin == kAfter;
+        return chainBefore(s.chain, e.chain);
+    }
+
+    void addSleeper(const Sleeper &s);
+    /** Pop the first sleeper and, unless cancelled, fire it. */
+    void wake();
 
     static constexpr unsigned __int128 kNoKey = ~(unsigned __int128)0;
 
@@ -335,7 +532,26 @@ class Engine
     Slot *free_head = nullptr;
     std::size_t slot_count = 0;
 
+    /** Sleepers: a binary heap, the first to fire on top. */
+    std::vector<Sleeper> sleepers_;
+    Tick wake_next_ = kNever; ///< the top sleeper's wake (or kNever)
+
+    /** Fork records; a deque keeps their addresses stable. They are
+     *  kept for the engine's lifetime (one per extra firing p ahead
+     *  from one firing, which the simulator's actors never do). */
+    std::deque<Fork> forks_;
+    /** (capped delay, count) of the current firing's schedules. */
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> cur_children_;
+
     Tick now_ = 0;
+    /** The tick the last runUntil() window ended at (kNever before
+     *  the first): its firings are over, later schedules come after
+     *  them. */
+    Tick closed_ = kNever;
+    bool running_ = false; ///< inside runUntil(): a firing schedules
+    /** The firing being run and its ordinal (valid while running_). */
+    const QueuedEvent *cur_ = nullptr;
+    std::uint64_t cur_ord_ = 0;
     std::uint64_t next_seq = 0;
     std::uint64_t fired = 0;
     std::uint64_t past_events = 0;
@@ -348,23 +564,24 @@ class Engine
  * slot, so steady-state actors (poll loops, batch runners, periodic
  * daemons) never re-create closures on the hot path.
  *
- * The handle owns a pinned slab slot. arm()/armAt() queue the next
- * firing; the callback itself decides whether to re-arm, so stopping
- * an actor is just "don't re-arm" (or cancel() to drop already-queued
- * firings). Arming twice queues two firings. Movable, not copyable;
- * the slot generation guarantees queued firings never outlive the
- * callback, even across cancel()/re-init().
+ * The handle owns a pinned slab slot. arm()/armAt()/sleep() queue
+ * the next firing; the callback itself decides whether to re-arm, so
+ * stopping an actor is just "don't re-arm" (or cancel() to drop
+ * already-queued firings, sleeps included). Arming twice queues two
+ * firings. Movable, not copyable; the slot generation guarantees
+ * queued firings never outlive the callback, even across
+ * cancel()/re-init().
  */
 class Engine::Recurring
 {
   public:
     Recurring() = default;
 
-    Recurring(Recurring &&o) noexcept : eng_(o.eng_), slot_(o.slot_)
-    {
-        o.eng_ = nullptr;
-        o.slot_ = nullptr;
-    }
+    Recurring(Recurring &&o) noexcept
+        : eng_(std::exchange(o.eng_, nullptr)),
+          slot_(std::exchange(o.slot_, nullptr)), sleep_(o.sleep_),
+          grid_(o.grid_)
+    {}
 
     Recurring &
     operator=(Recurring &&o) noexcept
@@ -373,6 +590,8 @@ class Engine::Recurring
             reset();
             eng_ = std::exchange(o.eng_, nullptr);
             slot_ = std::exchange(o.slot_, nullptr);
+            sleep_ = o.sleep_;
+            grid_ = o.grid_;
         }
         return *this;
     }
@@ -400,8 +619,7 @@ class Engine::Recurring
     void
     arm(Tick delay)
     {
-        eng_->enqueueAfter(QueuedEvent{eng_->makeKey(eng_->now_ + delay),
-                                       slot_, slot_->gen},
+        eng_->enqueueAfter(eng_->queued(eng_->now_ + delay, *slot_),
                            delay);
     }
 
@@ -409,9 +627,60 @@ class Engine::Recurring
     void
     armAt(Tick when)
     {
-        eng_->enqueue(QueuedEvent{eng_->makeKey(
-                                      eng_->checkWhen(when)),
-                                  slot_, slot_->gen});
+        eng_->enqueue(eng_->queued(eng_->checkWhen(when), *slot_));
+    }
+
+    /**
+     * Queue the next firing at the first tick of the grid now + k·
+     * @p period (k >= 1) at or after @p until (kNever: until woken by
+     * wakeBy()), in exactly the slot that arm(@p period) followed by
+     * no-op firings that each re-arm(@p period) would have reached.
+     * The caller guarantees those skipped firings would do nothing
+     * but re-arm. Falls back to arm(@p period) when the grid's next
+     * tick is already at or past @p until, and outside a firing that
+     * runs in its tick's first runUntil() window (where a skipped
+     * re-arm would have no place in the order).
+     */
+    void
+    sleep(Tick period, Tick until)
+    {
+        Engine &e = *eng_;
+        if (period == 0 || period >= kDelayCap || until <= e.now_ ||
+            until - e.now_ <= period || !e.running_ ||
+            e.now_ == e.closed_) {
+            arm(period);
+            return;
+        }
+        grid_ = e.now_;
+        sleep_ = Sleeper{kNever, period, e.chainFor(period), slot_,
+                         slot_->gen};
+        wakeAt(until);
+    }
+
+    /**
+     * Bring a pending sleep() forward so that it fires no later than
+     * the first tick of its grid at or after @p until (clamped to
+     * after now()). No-op unless sleeping past that tick.
+     */
+    void
+    wakeBy(Tick until)
+    {
+        if (!sleeping())
+            return;
+        const Tick after = until > eng_->now_ ? until : eng_->now_ + 1;
+        if (after >= sleep_.wake)
+            return;
+        cancel(); // drop the queued wake
+        sleep_.gen = slot_->gen;
+        wakeAt(after);
+    }
+
+    /** Whether a sleep() is pending. */
+    bool
+    sleeping() const
+    {
+        return slot_ != nullptr && sleep_.slot == slot_ &&
+               sleep_.gen == slot_->gen && sleep_.wake > eng_->now_;
     }
 
     /** Invalidate queued firings (the callback stays installed). */
@@ -434,8 +703,23 @@ class Engine::Recurring
     }
 
   private:
+    /** Set the wake to the first tick of the grid from grid_ at or
+     *  after @p until (> grid_) and queue it; a wake past every tick
+     *  stays unqueued until wakeBy(). */
+    void
+    wakeAt(Tick until)
+    {
+        const Tick p = sleep_.period;
+        const Tick k = (until - grid_ - 1) / p + 1;
+        sleep_.wake = k > (kNever - grid_) / p ? kNever : grid_ + k * p;
+        if (sleep_.wake != kNever)
+            eng_->addSleeper(sleep_);
+    }
+
     Engine *eng_ = nullptr;
     Slot *slot_ = nullptr;
+    Sleeper sleep_{}; ///< the pending (or last) sleep
+    Tick grid_ = 0;   ///< the tick sleep() was called at
 };
 
 /**

@@ -42,6 +42,16 @@ CpuStreamWorkload::start()
         lanes[i].batch_ev.arm(i + 1);
 }
 
+void
+CpuStreamWorkload::stop()
+{
+    Workload::stop();
+    // Drop queued batches so a stop()/start() cycle cannot leave two
+    // batch chains per lane.
+    for (Lane &lane : lanes)
+        lane.batch_ev.cancel();
+}
+
 Addr
 CpuStreamWorkload::nextAddr(unsigned lane_idx, bool &is_write)
 {

@@ -49,6 +49,7 @@ class CpuStreamWorkload : public Workload
                       const CpuStreamConfig &cfg);
 
     void start() override;
+    void stop() override;
 
     const CpuStreamConfig &config() const { return cfg; }
 

@@ -16,7 +16,7 @@ DpdkWorkload::DpdkWorkload(std::string name, WorkloadId id,
         fatal("DpdkWorkload: core count must match NIC queue count");
     poll_ev.resize(cores().size());
     for (unsigned q = 0; q < cores().size(); ++q) {
-        nic.attachConsumer(q, this->id(), cores()[q]);
+        nic.attachConsumer(q, this->id(), cores()[q], &poll_ev[q]);
         poll_ev[q].init(eng, [this, q] { poll(q); });
     }
 }
@@ -30,6 +30,16 @@ DpdkWorkload::start()
     nic.start();
     for (unsigned q = 0; q < cores().size(); ++q)
         poll_ev[q].arm(q + 1);
+}
+
+void
+DpdkWorkload::stop()
+{
+    Workload::stop();
+    // Drop queued polls (and sleeps) so a stop()/start() cycle cannot
+    // leave two poll chains per queue.
+    for (Engine::Recurring &ev : poll_ev)
+        ev.cancel();
 }
 
 double
@@ -78,8 +88,13 @@ DpdkWorkload::poll(unsigned q)
         ++n;
     }
 
-    Tick next = n ? static_cast<Tick>(busy_ns) + 1 : cfg.idle_poll_ns;
-    poll_ev[q].arm(next);
+    if (n) {
+        poll_ev[q].arm(static_cast<Tick>(busy_ns) + 1);
+        return;
+    }
+    // Idle: every re-poll before the next arrival would find the ring
+    // empty again, so sleep through them on the idle-poll grid.
+    poll_ev[q].sleep(cfg.idle_poll_ns, nic.nextArrival(q));
 }
 
 } // namespace a4

@@ -19,6 +19,13 @@
  * event schedule would have produced — RxPacket::arrival carries the
  * true wire timestamp either way, which keeps the ring-wait term of
  * the latency breakdown exact.
+ *
+ * Idle polls sleep: a poll that finds its ring empty would re-poll
+ * every idle_poll_ns and find it empty until the queue's next
+ * arrival (Nic::nextArrival), so it sleeps (Recurring::sleep) to the
+ * first tick of that re-poll grid at or after the arrival, firing in
+ * the same slot of the event order. A low-load tenant thus costs
+ * engine events per packet, not per idle_poll_ns.
  */
 
 #ifndef A4_WORKLOAD_DPDK_HH
@@ -39,7 +46,7 @@ struct DpdkConfig
     unsigned burst = 32;        ///< rte_rx_burst size
     double per_packet_cpu_ns = 120.0;
     double payload_mlp = 8.0;   ///< prefetch overlap on payload reads
-    Tick idle_poll_ns = 500;    ///< re-poll gap when the ring is empty
+    Tick idle_poll_ns = 500;    ///< re-poll grid when the ring is empty
 };
 
 /** Poll-mode packet processor over the NIC's Rx queues. */
@@ -55,6 +62,7 @@ class DpdkWorkload : public Workload
                  CacheSystem &cache, Nic &nic, const DpdkConfig &cfg);
 
     void start() override;
+    void stop() override;
 
     bool isIo() const override { return true; }
     PortId ioPort() const override { return nic.portId(); }

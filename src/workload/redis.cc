@@ -29,6 +29,13 @@ RedisServer::start()
     serve_ev.arm(1);
 }
 
+void
+RedisServer::stop()
+{
+    Workload::stop();
+    serve_ev.cancel(); // one serve chain across stop()/start()
+}
+
 bool
 RedisServer::submit(std::uint64_t key, bool is_update, Tick now)
 {
@@ -101,6 +108,13 @@ RedisClient::start()
         return;
     active_ = true;
     batch_ev.arm(2);
+}
+
+void
+RedisClient::stop()
+{
+    Workload::stop();
+    batch_ev.cancel(); // one batch chain across stop()/start()
 }
 
 void

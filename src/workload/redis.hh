@@ -58,6 +58,7 @@ class RedisClient : public Workload
                 RedisServer &server, const RedisConfig &cfg);
 
     void start() override;
+    void stop() override;
 
   private:
     void runBatch();
@@ -83,6 +84,7 @@ class RedisServer : public Workload
                 const RedisConfig &cfg);
 
     void start() override;
+    void stop() override;
 
     /** Loopback request submission (client-side call). */
     bool submit(std::uint64_t key, bool is_update, Tick now);

@@ -47,7 +47,9 @@ class Workload
     /** Begin scheduling actor events. Idempotent. */
     virtual void start() = 0;
 
-    /** Stop issuing new work (in-flight events drain harmlessly). */
+    /** Stop issuing new work. Actors that re-arm themselves override
+     *  this to drop their queued firings too, so start() after stop()
+     *  leaves one chain per actor, not two. */
     virtual void stop() { active_ = false; }
 
     bool running() const { return active_; }

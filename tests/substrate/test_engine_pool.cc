@@ -15,6 +15,7 @@
 #include <iterator>
 #include <memory>
 #include <queue>
+#include <set>
 #include <vector>
 
 #include "sim/engine.hh"
@@ -370,6 +371,15 @@ class EngineActors
     Tick now() const { return eng_.now(); }
     void after(unsigned a, Tick d) { evs_[a].arm(d); }
     void at(unsigned a, Tick when) { evs_[a].armAt(when); }
+    void
+    sleep(unsigned a, Tick period, Tick until)
+    {
+        if (until > now() + period)
+            ++sleeps_;
+        evs_[a].sleep(period, until);
+    }
+    void wakeBy(unsigned a, Tick until) { evs_[a].wakeBy(until); }
+    std::uint64_t sleeps() const { return sleeps_; }
     void cancel(unsigned a) { evs_[a].cancel(); }
     void
     reset(unsigned a)
@@ -393,6 +403,7 @@ class EngineActors
     Engine eng_;
     std::function<void(unsigned)> on_fire_;
     std::vector<Engine::Recurring> evs_;
+    std::uint64_t sleeps_ = 0;
 };
 
 /** The same actors on ReferenceEngine: an epoch per actor stands in
@@ -415,6 +426,9 @@ class ReferenceActors
                 on_fire_(a);
         });
     }
+    /** No sleeping here: an idle actor re-arms every period. */
+    void sleep(unsigned a, Tick period, Tick) { after(a, period); }
+    void wakeBy(unsigned, Tick) {}
     void cancel(unsigned a) { ++epoch_[a]; }
     void reset(unsigned a) { ++epoch_[a]; }
     template <typename F>
@@ -498,6 +512,188 @@ TEST(EngineEquivalence, DelayFifosKeepReferenceOrder)
         ASSERT_EQ(a[i].first, b[i].first) << "at event " << i;
         ASSERT_EQ(a[i].second, b[i].second) << "at event " << i;
     }
+}
+
+// --- sleeping pollers --------------------------------------------------------
+
+namespace
+{
+
+/** Poll periods: pollers that share a period and grid wake at the
+ *  same tick; periods 5 and 10 also meet with different periods. */
+constexpr Tick kPollPeriods[] = {5, 5, 5, 5, 5, 10, 10, 7, 7, 5};
+constexpr unsigned kPollers = std::size(kPollPeriods);
+/** Plain actors after the pollers, re-arming mostly every 5 ticks:
+ *  the non-poll p-chains a waking sleeper must be ordered against. */
+constexpr unsigned kPlain = 4;
+
+/**
+ * Pollers over per-poller arrival sets plus plain actors. A poll that
+ * finds no arrival at or before now() is idle: on Engine it sleeps
+ * until the next arrival, on ReferenceEngine it re-arms every period
+ * (ReferenceActors::sleep), and either way it records nothing and
+ * draws nothing, so the traces of the other firings must match tick
+ * for tick. Those firings re-arm with delays that often equal the
+ * period, spawn one-shots a period ahead, inject arrivals into other
+ * pollers (waking them early), wake pollers for nothing, and cancel
+ * and re-arm other actors. Between runUntil() windows the loop
+ * schedules one-shots (delay 0, so some fire after their tick's
+ * window closed), injects arrivals and re-arms actors.
+ */
+template <typename Actors>
+std::vector<std::pair<int, Tick>>
+traceSleepMix(std::uint64_t seed, std::uint64_t *sleeps = nullptr)
+{
+    std::vector<std::pair<int, Tick>> trace;
+    std::vector<std::multiset<Tick>> arrivals(kPollers);
+    Rng rng(seed);
+    std::unique_ptr<Actors> act;
+    auto periodOf = [](unsigned a) {
+        return a < kPollers ? kPollPeriods[a] : Tick(5);
+    };
+    auto pickDelay = [&](unsigned a) {
+        const Tick p = periodOf(a);
+        const Tick delays[] = {p, p, p, 0, 1, 2, p - 1, p + 1, 2 * p};
+        return delays[rng.below(std::size(delays))];
+    };
+    auto inject = [&](unsigned b, Tick when) {
+        arrivals[b].insert(when);
+        act->wakeBy(b, when);
+    };
+    auto on_fire = [&](unsigned a) {
+        const Tick now = act->now();
+        if (a < kPollers) {
+            auto &arr = arrivals[a];
+            const auto ready = arr.upper_bound(now);
+            if (ready == arr.begin()) {
+                act->sleep(a, periodOf(a),
+                           arr.empty() ? Engine::kNever : *arr.begin());
+                return;
+            }
+            arr.erase(arr.begin(), ready);
+        }
+        trace.emplace_back(int(a), now);
+        const std::uint64_t roll = rng.below(100);
+        const unsigned other = unsigned(rng.below(kPollers + kPlain));
+        if (roll < 15) {
+            const Tick p = periodOf(a);
+            act->oneShot(p, [&trace, &act, a] {
+                trace.emplace_back(1000 + int(a), act->now());
+            });
+            act->oneShotAt(now + p, [&trace, &act, a] {
+                trace.emplace_back(2000 + int(a), act->now());
+            });
+        } else if (roll < 35) {
+            inject(unsigned(rng.below(kPollers)),
+                   now + 1 + rng.below(8 * periodOf(a)));
+        } else if (roll < 40) {
+            act->wakeBy(unsigned(rng.below(kPollers)),
+                        now + 1 + rng.below(4 * periodOf(a)));
+        } else if (roll < 45 && other != a) {
+            act->cancel(other);
+            act->after(other, pickDelay(other));
+        }
+        act->after(a, pickDelay(a));
+    };
+    act = std::make_unique<Actors>(kPollers + kPlain, on_fire);
+    // Set-up: arrivals, first polls and plain actors, and one-shots a
+    // period ahead, all before the first window.
+    for (unsigned b = 0; b < kPollers; ++b) {
+        for (int i = 0; i < 20; ++i)
+            arrivals[b].insert(1 + rng.below(20000));
+        act->after(b, 1 + b % 3);
+    }
+    for (unsigned a = kPollers; a < kPollers + kPlain; ++a)
+        act->after(a, a % 2 ? 5 : 3);
+    act->oneShot(5, [&trace, &act] { trace.emplace_back(3000, act->now()); });
+    for (Tick t = 250; t <= 20000; t += 250) {
+        act->runUntil(t);
+        const std::uint64_t roll = rng.below(4);
+        const unsigned b = unsigned(rng.below(kPollers + kPlain));
+        if (roll == 0) {
+            // Fires in this tick's second window, after its closing.
+            act->oneShot(0, [&, b] {
+                trace.emplace_back(4000, act->now());
+                inject(b % kPollers, act->now() + 1 + rng.below(40));
+                act->cancel(b);
+                act->after(b, periodOf(b));
+            });
+        } else if (roll == 1) {
+            act->oneShot(periodOf(b), [&trace, &act] {
+                trace.emplace_back(5000, act->now());
+            });
+            inject(b % kPollers, t + 1 + rng.below(40));
+        } else if (roll == 2) {
+            act->cancel(b);
+            act->after(b, pickDelay(b));
+        }
+    }
+    if constexpr (requires { act->sleeps(); }) {
+        if (sleeps != nullptr)
+            *sleeps = act->sleeps();
+    }
+    return trace;
+}
+
+} // namespace
+
+TEST(EngineEquivalence, SleepingPollersKeepReferenceOrder)
+{
+    // Idle pollers sleep on Engine and re-arm every period on the
+    // reference heap; the firings that are not skipped must match
+    // tick for tick, whatever shares their tick: busy re-arms and
+    // one-shots exactly one period ahead, other sleepers (same and
+    // different periods), set-up and between-window schedules,
+    // early wakes and cancels.
+    for (std::uint64_t seed : {0x51EEull, 0xB0B0ull, 0xC0DEull}) {
+        std::uint64_t sleeps = 0;
+        const auto a = traceSleepMix<EngineActors>(seed, &sleeps);
+        const auto b = traceSleepMix<ReferenceActors>(seed);
+        ASSERT_GT(a.size(), 2000u);
+        ASSERT_GT(sleeps, 500u);
+        for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+            ASSERT_EQ(a[i].first, b[i].first)
+                << "seed " << seed << " at event " << i << " tick "
+                << b[i].second;
+            ASSERT_EQ(a[i].second, b[i].second)
+                << "seed " << seed << " at event " << i;
+        }
+        ASSERT_EQ(a.size(), b.size()) << "seed " << seed;
+    }
+}
+
+TEST(EngineRecurring, SleepSkipsIdleFiringsAndWakeByBringsItForward)
+{
+    Engine eng;
+    Engine::Recurring ev;
+    std::vector<Tick> fired;
+    ev.init(eng, [&] { fired.push_back(eng.now()); });
+    Engine::Recurring caller;
+    caller.init(eng, [&] { ev.sleep(10, 95); });
+    caller.arm(3);
+    eng.runUntil(50);
+    // Asleep from tick 3 on the grid 3 + 10k: wakes at 103, not 95.
+    EXPECT_TRUE(ev.sleeping());
+    EXPECT_TRUE(fired.empty());
+    EXPECT_EQ(eng.eventsFired(), 1u);
+    ev.wakeBy(61); // an earlier input: the first grid tick at or after
+    eng.runUntil(200);
+    EXPECT_EQ(fired, std::vector<Tick>{63});
+    EXPECT_FALSE(ev.sleeping());
+    EXPECT_EQ(eng.eventsFired(), 2u);
+
+    // Sleeping "forever" queues nothing until woken; cancel drops it.
+    caller.init(eng, [&] { ev.sleep(10, Engine::kNever); });
+    caller.arm(1);
+    eng.runUntil(1000);
+    EXPECT_TRUE(ev.sleeping());
+    EXPECT_EQ(eng.pending(), 0u);
+    ev.wakeBy(1234);
+    EXPECT_EQ(eng.pending(), 1u);
+    ev.cancel();
+    EXPECT_FALSE(ev.sleeping());
+    eng.runUntil(5000);
+    EXPECT_EQ(fired, std::vector<Tick>{63});
 }
 
 // --- throughput smoke -----------------------------------------------------
