@@ -60,8 +60,8 @@ CacheSystem::CacheSystem(const CacheGeometry &g, const CacheLatencies &l,
         geom.mlc_ways > 32)
         fatal("CacheSystem: LLC and MLC associativity must be 1-32");
     if (geom.num_cores > kMaxCores)
-        fatal(sformat("CacheSystem: %u cores exceed the %u the LLC "
-                      "LLC's MLC-core field holds",
+        fatal(sformat("CacheSystem: %u cores exceed the %u cores the "
+                      "LLC's MLC-core field can hold",
                       geom.num_cores, kMaxCores));
 
     dca_mask = CatController::makeMask(0, geom.dca_ways - 1);
@@ -194,8 +194,8 @@ CacheSystem::wlConst(WorkloadId id) const
 // --- core-side path -----------------------------------------------------------
 
 AccessResult
-CacheSystem::coreAccess(Tick now, CoreId core, Addr line, WorkloadId wl_id,
-                        bool is_write)
+CacheSystem::coreAccess(Tick now, CoreId core, Addr line, std::size_t mb,
+                        unsigned set, WorkloadId wl_id, bool is_write)
 {
     drainDeferred(now);
     if (core >= geom.num_cores)
@@ -205,7 +205,6 @@ CacheSystem::coreAccess(Tick now, CoreId core, Addr line, WorkloadId wl_id,
     WorkloadCounters &w = wl(wl_id);
 
     // MLC lookup.
-    const std::size_t mb = mlcBlockOf(core, line);
     if (int mw = scan::findWay(mlc_.tags(mb), geom.mlc_ways, tag);
         mw >= 0) {
         scan::rankTouch(mlc_.ranks(mb), geom.mlc_ways, unsigned(mw));
@@ -217,7 +216,8 @@ CacheSystem::coreAccess(Tick now, CoreId core, Addr line, WorkloadId wl_id,
     w.mlc_miss.inc();
 
     // LLC lookup.
-    const unsigned set = llcSetOf(line);
+    if (set == kSetUnhashed)
+        set = llcSetOf(line);
     std::uint32_t *lt = llc_.tags(set);
     gstats.llc_lookups.inc();
     if (int lw = scan::findWay(lt, geom.llc_ways, tag); lw >= 0) {
@@ -395,13 +395,12 @@ CacheSystem::llcEvictSlot(Tick now, unsigned set, unsigned way,
 // --- device-side paths -------------------------------------------------------------
 
 void
-CacheSystem::dmaWrite(Tick now, Addr line, WorkloadId owner,
+CacheSystem::dmaWrite(Tick now, Addr line, unsigned set, WorkloadId owner,
                       std::span<const CoreId> consumers, bool allocating)
 {
     drainDeferred(now);
     const std::uint32_t tag = tagOf(line);
     WorkloadCounters &w = wl(owner);
-    const unsigned set = llcSetOf(line);
     std::uint32_t *lt = llc_.tags(set);
 
     if (allocating) {
@@ -445,12 +444,11 @@ CacheSystem::dmaWrite(Tick now, Addr line, WorkloadId owner,
 }
 
 bool
-CacheSystem::dmaRead(Tick now, Addr line, WorkloadId owner,
+CacheSystem::dmaRead(Tick now, Addr line, unsigned set, WorkloadId owner,
                      std::span<const CoreId> cores)
 {
     drainDeferred(now);
     const std::uint32_t tag = tagOf(line);
-    const unsigned set = llcSetOf(line);
 
     if (int lw = scan::findWay(llc_.tags(set), geom.llc_ways, tag);
         lw >= 0) {
@@ -474,7 +472,7 @@ CacheSystem::dmaRead(Tick now, Addr line, WorkloadId owner,
     }
 
     wl(owner).mem_read_lines.inc();
-    dram.readLine(now);
+    dram.readBulk(now, kLineBytes); // a device read: no core waits on it
     return false;
 }
 
@@ -485,39 +483,25 @@ CacheSystem::dmaWriteRun(Tick now, Addr addr, std::uint64_t lines,
                          WorkloadId owner,
                          std::span<const CoreId> consumers, bool allocating)
 {
-    const Addr first = lineOf(addr);
-    auto hint = [&](Addr line) {
-        llc_.prefetch(llcSetOf(line));
-        for (CoreId c : consumers)
-            mlc_.prefetch(mlcBlockOf(c, line));
-    };
-    for (std::uint64_t i = 0; i < std::min(lines, kRunAhead); ++i)
-        hint(first + i);
-    for (std::uint64_t i = 0; i < lines; ++i) {
-        if (i + kRunAhead < lines)
-            hint(first + i + kRunAhead);
-        dmaWrite(now, first + i, owner, consumers, allocating);
-    }
+    walkRun(
+        lineOf(addr), lines,
+        [&](Addr line) { return prefetchDmaSets(line, consumers); },
+        [&](Addr line, unsigned set) {
+            dmaWrite(now, line, set, owner, consumers, allocating);
+        });
 }
 
 std::uint64_t
 CacheSystem::dmaReadRun(Tick now, Addr addr, std::uint64_t lines,
                         WorkloadId owner, std::span<const CoreId> cores)
 {
-    const Addr first = lineOf(addr);
-    auto hint = [&](Addr line) {
-        llc_.prefetch(llcSetOf(line));
-        for (CoreId c : cores)
-            mlc_.prefetch(mlcBlockOf(c, line));
-    };
-    for (std::uint64_t i = 0; i < std::min(lines, kRunAhead); ++i)
-        hint(first + i);
     std::uint64_t served = 0;
-    for (std::uint64_t i = 0; i < lines; ++i) {
-        if (i + kRunAhead < lines)
-            hint(first + i + kRunAhead);
-        served += dmaRead(now, first + i, owner, cores);
-    }
+    walkRun(
+        lineOf(addr), lines,
+        [&](Addr line) { return prefetchDmaSets(line, cores); },
+        [&](Addr line, unsigned set) {
+            served += dmaRead(now, line, set, owner, cores);
+        });
     return served;
 }
 

@@ -52,7 +52,11 @@
  * way is stale and never read. The run entry points (coreRun,
  * dmaWriteRun, dmaReadRun) walk consecutive lines and prefetch the
  * blocks upcoming lines will touch; a prefetch hint only hashes a
- * line into block addresses and reads no state.
+ * line into block addresses and reads no state. The hint's hashes are
+ * kept and handed down to the line's access, so a run hashes each line
+ * once. The prefetch is a volatile asm because GCC finds a helper
+ * whose only effect is __builtin_prefetch pure and deletes every call
+ * to it (scripts/check_prefetch.sh checks the machine code).
  */
 
 #ifndef A4_CACHE_HIERARCHY_HH
@@ -142,13 +146,17 @@ class CacheSystem
     AccessResult
     coreRead(Tick now, CoreId core, Addr addr, WorkloadId wl)
     {
-        return coreAccess(now, core, lineOf(addr), wl, false);
+        const Addr line = lineOf(addr);
+        return coreAccess(now, core, line, mlcBlockOf(core, line),
+                          kSetUnhashed, wl, false);
     }
 
     AccessResult
     coreWrite(Tick now, CoreId core, Addr addr, WorkloadId wl)
     {
-        return coreAccess(now, core, lineOf(addr), wl, true);
+        const Addr line = lineOf(addr);
+        return coreAccess(now, core, line, mlcBlockOf(core, line),
+                          kSetUnhashed, wl, true);
     }
 
     /**
@@ -163,14 +171,13 @@ class CacheSystem
     coreRun(Tick now, CoreId core, Addr addr, std::uint64_t lines,
             WorkloadId wl, bool is_write, OnLine &&on_line)
     {
-        const Addr first = lineOf(addr);
-        for (std::uint64_t i = 0; i < std::min(lines, kRunAhead); ++i)
-            prefetchCoreSets(core, first + i);
-        for (std::uint64_t i = 0; i < lines; ++i) {
-            if (i + kRunAhead < lines)
-                prefetchCoreSets(core, first + i + kRunAhead);
-            on_line(coreAccess(now, core, first + i, wl, is_write));
-        }
+        walkRun(
+            lineOf(addr), lines,
+            [&](Addr line) { return prefetchCoreSets(core, line); },
+            [&](Addr line, const CoreSets &s) {
+                on_line(coreAccess(now, core, line, s.mb, s.set, wl,
+                                   is_write));
+            });
     }
     /** @} */
 
@@ -187,7 +194,8 @@ class CacheSystem
     dmaWriteLine(Tick now, Addr addr, WorkloadId owner,
                  std::span<const CoreId> consumers, bool allocating)
     {
-        dmaWrite(now, lineOf(addr), owner, consumers, allocating);
+        const Addr line = lineOf(addr);
+        dmaWrite(now, line, llcSetOf(line), owner, consumers, allocating);
     }
 
     /**
@@ -198,7 +206,8 @@ class CacheSystem
     dmaReadLine(Tick now, Addr addr, WorkloadId owner,
                 std::span<const CoreId> cores)
     {
-        return dmaRead(now, lineOf(addr), owner, cores);
+        const Addr line = lineOf(addr);
+        return dmaRead(now, line, llcSetOf(line), owner, cores);
     }
 
     /** dmaWriteLine over @p lines consecutive lines from @p addr. */
@@ -375,11 +384,15 @@ class CacheSystem
                                                            core_off_);
         }
 
+        /** Prefetch every host line of block @p set. A volatile asm:
+         *  GCC marks a helper whose only effect is __builtin_prefetch
+         *  pure and deletes the calls, while an asm with a side effect
+         *  stays. x86 only, like the way scans (cache/scan.hh). */
         void
         prefetch(std::size_t set) const
         {
             for (std::size_t off = 0; off < block_; off += 64)
-                __builtin_prefetch(at(set) + off);
+                asm volatile("prefetcht0 %0" : : "m"(*(at(set) + off)));
         }
 
       private:
@@ -449,16 +462,66 @@ class CacheSystem
         return std::size_t(core) * geom.mlc_sets + set;
     }
 
+    /** coreAccess()'s @p set when the caller has not hashed the line:
+     *  it is then hashed on an MLC miss only, so a single-line MLC hit
+     *  costs the one MLC hash. */
+    static constexpr unsigned kSetUnhashed = ~0u;
+
     // --- run prefetch hints (hash lines into addresses, read no state) ----
     // A run prefetches the set blocks of the line kRunAhead places
-    // ahead.
+    // ahead, and keeps the hint's indices for that line's access.
     static constexpr std::uint64_t kRunAhead = 4;
 
-    void
+    /** A core run line's MLC block and LLC set. */
+    struct CoreSets
+    {
+        std::size_t mb;
+        unsigned set;
+    };
+
+    CoreSets
     prefetchCoreSets(CoreId core, Addr line) const
     {
-        llc_.prefetch(llcSetOf(line));
-        mlc_.prefetch(mlcBlockOf(core, line));
+        const CoreSets s{mlcBlockOf(core, line), llcSetOf(line)};
+        llc_.prefetch(s.set);
+        mlc_.prefetch(s.mb);
+        return s;
+    }
+
+    /** A DMA run's hint: @p line's LLC set (returned) and its blocks
+     *  in the MLCs of @p cores. */
+    unsigned
+    prefetchDmaSets(Addr line, std::span<const CoreId> cores) const
+    {
+        const unsigned set = llcSetOf(line);
+        llc_.prefetch(set);
+        for (CoreId c : cores)
+            mlc_.prefetch(mlcBlockOf(c, line));
+        return set;
+    }
+
+    /**
+     * Walk lines [first, first + lines): @p hint(line) prefetches a
+     * line's blocks kRunAhead lines before its turn and returns its
+     * indices, which @p access(line, indices) then receives. Slot
+     * i % kRunAhead of the ring holds line i's indices from its hint
+     * to its access.
+     */
+    template <typename Hint, typename Access>
+    static void
+    walkRun(Addr first, std::uint64_t lines, Hint &&hint, Access &&access)
+    {
+        using Indices = decltype(hint(first));
+        Indices ahead[kRunAhead] = {};
+        for (std::uint64_t i = 0; i < std::min(lines, kRunAhead); ++i)
+            ahead[i] = hint(first + i);
+        for (std::uint64_t i = 0; i < lines; ++i) {
+            Indices &slot = ahead[i % kRunAhead];
+            const Indices mine = slot;
+            if (i + kRunAhead < lines)
+                slot = hint(first + i + kRunAhead);
+            access(first + i, mine);
+        }
     }
 
     // --- internal operations ----------------------------------------------
@@ -467,11 +530,16 @@ class CacheSystem
     void rebuildDeferred();
     /** Set source @p i's cached tick to @p tick and replay its path. */
     void refreshDeferred(std::uint32_t i, Tick tick);
+    /** Access @p line, whose block in @p core's MLC is @p mb and whose
+     *  LLC set is @p set (or kSetUnhashed). */
     AccessResult coreAccess(Tick now, CoreId core, Addr line,
+                            std::size_t mb, unsigned set,
                             WorkloadId wl_id, bool is_write);
-    void dmaWrite(Tick now, Addr line, WorkloadId owner,
+    /** DMA write of @p line, whose LLC set is @p set. */
+    void dmaWrite(Tick now, Addr line, unsigned set, WorkloadId owner,
                   std::span<const CoreId> consumers, bool allocating);
-    bool dmaRead(Tick now, Addr line, WorkloadId owner,
+    /** DMA read of @p line, whose LLC set is @p set. */
+    bool dmaRead(Tick now, Addr line, unsigned set, WorkloadId owner,
                  std::span<const CoreId> cores);
     /** Fill @p line into MLC block @p mb (the caller has just seen it
      *  miss there), evicting the LRU way if the set is full. */

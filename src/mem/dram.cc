@@ -7,7 +7,10 @@
 namespace a4
 {
 
-Dram::Dram(const DramConfig &config) : cfg(config)
+Dram::Dram(const DramConfig &config)
+    : cfg(config), window_capacity(cfg.peak_bw_bps *
+                                   (static_cast<double>(cfg.window_ns) /
+                                    1e9))
 {
     if (cfg.peak_bw_bps <= 0.0)
         fatal("Dram: peak bandwidth must be positive");
@@ -35,22 +38,34 @@ double
 Dram::utilization(Tick now) const
 {
     roll(now);
+    return rolledUtilization(now);
+}
+
+double
+Dram::rolledUtilization(Tick now) const
+{
     // Blend the completed bucket with the in-progress one.
     double elapsed = static_cast<double>(now - window_start);
     double span = static_cast<double>(cfg.window_ns);
     double frac = std::clamp(elapsed / span, 0.0, 1.0);
     double bytes = static_cast<double>(prev_window_bytes) * (1.0 - frac) +
                    static_cast<double>(cur_window_bytes);
-    double window_capacity = cfg.peak_bw_bps * (span / 1e9);
     return bytes / window_capacity;
 }
 
 double
 Dram::effectiveLatency(Tick now) const
 {
+    roll(now);
+    return rolledLatency(now);
+}
+
+double
+Dram::rolledLatency(Tick now) const
+{
     // Classic closed-form queueing knee: latency grows hyperbolically
     // as utilisation approaches 1, capped at 8x unloaded latency.
-    double u = std::min(utilization(now), 0.97);
+    double u = std::min(rolledUtilization(now), 0.97);
     double factor = 1.0 / (1.0 - 0.75 * u);
     return cfg.base_latency_ns * std::min(factor, 8.0);
 }
@@ -61,7 +76,7 @@ Dram::readLine(Tick now)
     roll(now);
     rd_bytes.add(kLineBytes);
     cur_window_bytes += kLineBytes;
-    return effectiveLatency(now);
+    return rolledLatency(now);
 }
 
 double

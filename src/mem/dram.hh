@@ -69,8 +69,13 @@ class Dram
 
   private:
     void roll(Tick now) const;
+    /** utilization() and effectiveLatency() of a window already
+     *  rolled to @p now. */
+    double rolledUtilization(Tick now) const;
+    double rolledLatency(Tick now) const;
 
     DramConfig cfg;
+    double window_capacity; ///< bytes the window carries at peak
     SnapshotCounter rd_bytes;
     SnapshotCounter wr_bytes;
 

@@ -19,17 +19,26 @@
  * consumer cores, and a DMA read looks in one random core's MLC. Its
  * extra draws come after the base draws of each op, so the base
  * stream of a seed is the same with the option off.
+ *
+ * With `runs` on, a quarter of the core and DMA ops become line runs
+ * (coreRun, dmaWriteRun, dmaReadRun) of 0 to 40 lines from an
+ * unaligned address inside the op's line, and a DMA run names 1 to 3
+ * cores. Its draws come after those of `any_consumer`, again leaving
+ * the streams without it unchanged.
  */
 
 #ifndef A4_TESTS_ORACLE_OP_STREAM_HH
 #define A4_TESTS_ORACLE_OP_STREAM_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "cache/hierarchy.hh"
 #include "rdt/cat.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
@@ -40,7 +49,7 @@ namespace a4::test
 struct CacheOp
 {
     enum Kind { Read, Write, DmaWrite, DmaRead, SetClosMask, AssignCore,
-                SetDdio };
+                SetDdio, CoreRun, DmaWriteRun, DmaReadRun };
 
     Kind kind = Read;
     Tick now = 0;
@@ -52,23 +61,28 @@ struct CacheOp
     unsigned clos = 0;       ///< AssignCore
     WayMask mask = 0;        ///< SetClosMask (CLOS 1)
     /** DmaWrite's consumer cores, DmaRead's MLC cores (bit c = core
-     *  c). */
+     *  c); the same for the DMA runs. */
     std::uint64_t consumers = 1;
+    std::uint64_t lines = 0; ///< run length (the run kinds)
+    bool write = false;      ///< CoreRun writes
 
     std::string
     str() const
     {
-        static const char *names[] = {"read", "write", "dma_write",
-                                      "dma_read", "clos1_mask",
-                                      "assign_core", "ddio"};
-        char buf[192];
+        static const char *names[] = {
+            "read",         "write",       "dma_write",     "dma_read",
+            "clos1_mask",   "assign_core", "ddio",          "core_run",
+            "dma_write_run", "dma_read_run"};
+        char buf[224];
         std::snprintf(buf, sizeof(buf),
                       "t=%llu %s core=%u addr=0x%llx wl=%u alloc=%d "
-                      "port=%u clos=%u mask=0x%x consumers=0x%llx",
+                      "port=%u clos=%u mask=0x%x consumers=0x%llx "
+                      "lines=%llu write=%d",
                       static_cast<unsigned long long>(now), names[kind],
                       core, static_cast<unsigned long long>(addr), wl,
                       allocating, port, clos, mask,
-                      static_cast<unsigned long long>(consumers));
+                      static_cast<unsigned long long>(consumers),
+                      static_cast<unsigned long long>(lines), write);
         return buf;
     }
 };
@@ -85,12 +99,13 @@ class CacheOpStream
      * @param lines distinct lines per region.
      * @param llc_ways ways for the generated CLOS masks.
      * @param any_consumer widen the DMA ops (see the file comment).
+     * @param runs turn some core and DMA ops into line runs.
      */
     CacheOpStream(std::uint64_t seed, unsigned cores, unsigned lines,
                   bool control, unsigned llc_ways = 11,
-                  bool any_consumer = false)
+                  bool any_consumer = false, bool runs = false)
         : rng(seed), cores(cores), lines(lines), control(control),
-          llc_ways(llc_ways), any_consumer(any_consumer)
+          llc_ways(llc_ways), any_consumer(any_consumer), runs(runs)
     {}
 
     CacheOp
@@ -152,10 +167,38 @@ class CacheOpStream
             op.allocating = ddio[op.port] = !ddio[op.port];
             break;
         }
+        if (runs && op.kind <= CacheOp::DmaRead && rng.below(4) == 0)
+            makeRun(op);
         return op;
     }
 
   private:
+    /** Turn the core or DMA op @p op into the run that starts there. */
+    void
+    makeRun(CacheOp &op)
+    {
+        op.lines = rng.below(41);
+        op.addr += rng.below(kLineBytes);
+        switch (op.kind) {
+          case CacheOp::Read:
+          case CacheOp::Write:
+            op.write = op.kind == CacheOp::Write;
+            op.kind = CacheOp::CoreRun;
+            return;
+          case CacheOp::DmaWrite:
+          case CacheOp::DmaRead:
+            op.kind = op.kind == CacheOp::DmaWrite ? CacheOp::DmaWriteRun
+                                                   : CacheOp::DmaReadRun;
+            op.consumers = 0;
+            for (auto n = std::min(cores, 1 + unsigned(rng.below(3)));
+                 unsigned(std::popcount(op.consumers)) < n;)
+                op.consumers |= std::uint64_t(1) << rng.below(cores);
+            return;
+          default:
+            return;
+        }
+    }
+
     Addr
     anyRegion()
     {
@@ -177,19 +220,23 @@ class CacheOpStream
     bool control;
     unsigned llc_ways;
     bool any_consumer;
+    bool runs;
     Tick i = 0;
     bool ddio[2] = {true, false};
 };
 
+/** What an op returned, one entry per line: (hit level, latency) of a
+ *  core access, (served, 0) of a DMA read; empty for other ops. */
+using OpOutcome = std::vector<std::pair<int, double>>;
+
 /**
  * Apply @p op to @p model (CacheSystem or the reference model: both
- * offer coreRead/coreWrite/dmaWriteLine/dmaReadLine) and to the CAT it
- * reads. A DMA op's cores are op.consumers in ascending order. Returns
- * (hit level, latency) for core accesses, (served, 0) for DMA reads,
- * (0, 0) otherwise.
+ * offer coreRead/coreWrite/dmaWriteLine/dmaReadLine and the line runs)
+ * and to the CAT it reads. A DMA op's cores are op.consumers in
+ * ascending order. A DMA read run's outcome is its served count.
  */
 template <typename Model>
-std::pair<int, double>
+OpOutcome
 applyOp(const CacheOp &op, Model &model, CatController &cat)
 {
     CoreId cores[64];
@@ -204,15 +251,31 @@ applyOp(const CacheOp &op, Model &model, CatController &cat)
                            ? model.coreRead(op.now, op.core, op.addr, op.wl)
                            : model.coreWrite(op.now, op.core, op.addr,
                                              op.wl);
-        return {int(r.level), r.latency_ns};
+        return {{int(r.level), r.latency_ns}};
       }
       case CacheOp::DmaWrite:
         model.dmaWriteLine(op.now, op.addr, op.wl, dma_cores,
                            op.allocating);
         break;
       case CacheOp::DmaRead:
-        return {model.dmaReadLine(op.now, op.addr, op.wl, dma_cores),
-                0.0};
+        return {{model.dmaReadLine(op.now, op.addr, op.wl, dma_cores),
+                 0.0}};
+      case CacheOp::CoreRun: {
+        OpOutcome out;
+        model.coreRun(op.now, op.core, op.addr, op.lines, op.wl, op.write,
+                      [&out](const AccessResult &r) {
+                          out.emplace_back(int(r.level), r.latency_ns);
+                      });
+        return out;
+      }
+      case CacheOp::DmaWriteRun:
+        model.dmaWriteRun(op.now, op.addr, op.lines, op.wl, dma_cores,
+                          op.allocating);
+        break;
+      case CacheOp::DmaReadRun:
+        return {{int(model.dmaReadRun(op.now, op.addr, op.lines, op.wl,
+                                      dma_cores)),
+                 0.0}};
       case CacheOp::SetClosMask:
         cat.setClosMask(1, op.mask);
         break;
@@ -222,7 +285,7 @@ applyOp(const CacheOp &op, Model &model, CatController &cat)
       case CacheOp::SetDdio:
         break; // the stream itself routes later DMA writes
     }
-    return {0, 0.0};
+    return {};
 }
 
 } // namespace a4::test

@@ -41,6 +41,40 @@ class RefCache
     bool dmaReadLine(Tick now, Addr addr, WorkloadId owner,
                      std::span<const CoreId> cores);
 
+    /** @name The line runs, replayed as that many single-line calls.
+     *  @{ */
+    template <typename OnLine>
+    void
+    coreRun(Tick now, CoreId core, Addr addr, std::uint64_t lines,
+            WorkloadId wl, bool is_write, OnLine &&on_line)
+    {
+        for (std::uint64_t i = 0; i < lines; ++i) {
+            const Addr a = addr + i * kLineBytes;
+            on_line(is_write ? coreWrite(now, core, a, wl)
+                             : coreRead(now, core, a, wl));
+        }
+    }
+
+    void
+    dmaWriteRun(Tick now, Addr addr, std::uint64_t lines, WorkloadId owner,
+                std::span<const CoreId> consumers, bool allocating)
+    {
+        for (std::uint64_t i = 0; i < lines; ++i)
+            dmaWriteLine(now, addr + i * kLineBytes, owner, consumers,
+                         allocating);
+    }
+
+    std::uint64_t
+    dmaReadRun(Tick now, Addr addr, std::uint64_t lines, WorkloadId owner,
+               std::span<const CoreId> cores)
+    {
+        std::uint64_t served = 0;
+        for (std::uint64_t i = 0; i < lines; ++i)
+            served += dmaReadLine(now, addr + i * kLineBytes, owner, cores);
+        return served;
+    }
+    /** @} */
+
     WorkloadCounters &wl(WorkloadId id);
     const GlobalCacheCounters &global() const { return gstats; }
     std::vector<std::uint64_t> llcWayOccupancyOf(WorkloadId id) const;

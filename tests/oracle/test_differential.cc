@@ -12,7 +12,9 @@
  * mismatch there is replayed op by op to find its first op. A failure
  * prints the shortest failing prefix of the stream. The AnyConsumer
  * cases run the stream's any-consumer variant: DMA ops over every
- * region with random consumer sets and egress cores.
+ * region with random consumer sets and egress cores. The Runs cases
+ * add its line runs, which the reference model replays line by line,
+ * and compare every line's outcome.
  */
 
 #include <gtest/gtest.h>
@@ -39,6 +41,7 @@ struct DiffCase
     std::size_t census_every;
     std::uint64_t seed;
     bool any_consumer = false; ///< the op stream's widened DMA ops
+    bool runs = false;         ///< the op stream's line runs
 };
 
 /** gtest's default print of a case is its raw bytes, which start with
@@ -55,6 +58,8 @@ PrintTo(const DiffCase &dc, std::ostream *os)
         << " seed " << dc.seed;
     if (dc.any_consumer)
         *os << " any-consumer";
+    if (dc.runs)
+        *os << " runs";
 }
 
 CacheGeometry
@@ -143,6 +148,15 @@ counterDiff(Pair &p)
 }
 
 std::string
+str(const OpOutcome &out)
+{
+    std::ostringstream s;
+    for (const auto &[what, ns] : out)
+        s << " (" << what << ", " << ns << ")";
+    return s.str();
+}
+
+std::string
 occupancyDiff(Pair &p)
 {
     for (WorkloadId id = 1; id <= 3; ++id) {
@@ -165,16 +179,14 @@ firstMismatch(const DiffCase &dc, std::size_t ops,
 {
     Pair p(dc.geom);
     CacheOpStream stream(dc.seed, dc.geom.num_cores, dc.lines, true,
-                         dc.geom.llc_ways, dc.any_consumer);
+                         dc.geom.llc_ways, dc.any_consumer, dc.runs);
     for (std::size_t i = 0; i < ops; ++i) {
         const CacheOp op = stream.next();
-        const auto got = applyOp(op, p.real, p.cat);
-        const auto want = applyOp(op, p.ref, p.ref_cat);
+        const OpOutcome got = applyOp(op, p.real, p.cat);
+        const OpOutcome want = applyOp(op, p.ref, p.ref_cat);
         if (got != want) {
-            why = "access outcome: model (" + std::to_string(got.first) +
-                  ", " + std::to_string(got.second) + "), reference (" +
-                  std::to_string(want.first) + ", " +
-                  std::to_string(want.second) + ")";
+            why = "access outcome: model" + str(got) + ", reference" +
+                  str(want);
             return i;
         }
         why = counterDiff(p);
@@ -207,7 +219,7 @@ TEST_P(Differential, MatchesReferenceModel)
 
     std::ostringstream prefix;
     CacheOpStream stream(dc.seed, dc.geom.num_cores, dc.lines, true,
-                         dc.geom.llc_ways, dc.any_consumer);
+                         dc.geom.llc_ways, dc.any_consumer, dc.runs);
     constexpr std::size_t kShown = 40;
     for (std::size_t i = 0; i <= bad; ++i) {
         const CacheOp op = stream.next();
@@ -263,6 +275,21 @@ INSTANTIATE_TEST_SUITE_P(
                  1, 33, true},
         DiffCase{"srrip_19way", wide(19, LlcReplacement::Srrip), 512,
                  40000, 1, 34, true}),
+    [](const ::testing::TestParamInfo<DiffCase> &info) {
+        return std::string(info.param.name);
+    });
+
+INSTANTIATE_TEST_SUITE_P(
+    Runs, Differential,
+    ::testing::Values(
+        DiffCase{"lru_tiny", tiny(8, 4, 4, LlcReplacement::Lru), 512,
+                 20000, 1, 41, true, true},
+        DiffCase{"srrip_conflict", tiny(2, 2, 2, LlcReplacement::Srrip),
+                 48, 20000, 1, 42, true, true},
+        DiffCase{"lru_19way", wide(19, LlcReplacement::Lru), 512, 20000,
+                 1, 43, false, true},
+        DiffCase{"lru_scale4", scale4(LlcReplacement::Lru), 65536, 100000,
+                 2048, 44, true, true}),
     [](const ::testing::TestParamInfo<DiffCase> &info) {
         return std::string(info.param.name);
     });

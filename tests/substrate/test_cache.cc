@@ -10,6 +10,8 @@
 
 #include <array>
 #include <initializer_list>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -381,7 +383,15 @@ TEST(CacheBounds, CoreCountMustFitTheMlcCoreField)
     CacheGeometry g = tinyGeom();
     g.num_cores = CacheSystem::kMaxCores + 1;
     CatController wide(11, g.num_cores);
-    EXPECT_THROW(CacheSystem(g, CacheLatencies{}, dram, wide), FatalError);
+    try {
+        CacheSystem too_many(g, CacheLatencies{}, dram, wide);
+        ADD_FAILURE() << "1025 cores were accepted";
+    } catch (const FatalError &e) {
+        // The message names the requested count and the limit.
+        const std::string what = e.what();
+        EXPECT_NE(what.find("1025 cores"), std::string::npos) << what;
+        EXPECT_NE(what.find("1024 cores"), std::string::npos) << what;
+    }
 
     g.num_cores = CacheSystem::kMaxCores;
     CatController most(11, g.num_cores);
@@ -518,6 +528,60 @@ expectSameResults(const std::vector<AccessResult> &got,
     }
 }
 
+/** Drives a cache through the run entry points, or (@p by_line)
+ *  through the single-line calls each run stands for. */
+struct RunDriver
+{
+    CacheSystem &cache;
+    bool by_line;
+    std::vector<AccessResult> &out;
+
+    void
+    core(Tick now, CoreId core, Addr addr, std::uint64_t lines,
+         bool is_write)
+    {
+        if (!by_line) {
+            cache.coreRun(now, core, addr, lines, Rig::kWl, is_write,
+                          [this](const AccessResult &r) {
+                              out.push_back(r);
+                          });
+            return;
+        }
+        for (std::uint64_t i = 0; i < lines; ++i) {
+            const Addr a = addr + i * kLineBytes;
+            out.push_back(is_write ? cache.coreWrite(now, core, a, Rig::kWl)
+                                   : cache.coreRead(now, core, a, Rig::kWl));
+        }
+    }
+
+    void
+    dmaWrite(Tick now, Addr addr, std::uint64_t lines,
+             std::span<const CoreId> consumers, bool allocating)
+    {
+        if (!by_line) {
+            cache.dmaWriteRun(now, addr, lines, Rig::kIoWl, consumers,
+                              allocating);
+            return;
+        }
+        for (std::uint64_t i = 0; i < lines; ++i)
+            cache.dmaWriteLine(now, addr + i * kLineBytes, Rig::kIoWl,
+                               consumers, allocating);
+    }
+
+    std::uint64_t
+    dmaRead(Tick now, Addr addr, std::uint64_t lines,
+            std::span<const CoreId> cores)
+    {
+        if (!by_line)
+            return cache.dmaReadRun(now, addr, lines, Rig::kIoWl, cores);
+        std::uint64_t served = 0;
+        for (std::uint64_t i = 0; i < lines; ++i)
+            served += cache.dmaReadLine(now, addr + i * kLineBytes,
+                                        Rig::kIoWl, cores);
+        return served;
+    }
+};
+
 } // namespace
 
 TEST(CacheRuns, RunsMatchLineByLine)
@@ -528,45 +592,49 @@ TEST(CacheRuns, RunsMatchLineByLine)
     constexpr std::uint64_t kLines = 37; // not a multiple of the lookahead
     const Addr io = 0x200020;            // unaligned start
     const Addr data = 0x400000;
+    // Runs shorter than the look-ahead (0, 1 and 3 lines), with DMA
+    // over two cores' MLCs. Each short run's lines start in core 1's
+    // MLC only: the DMA read allocates them from there, the allocating
+    // write invalidates core 1's copy, the non-allocating one drops
+    // the LLC copy, and the last write misses the LLC and invalidates
+    // core 0's copy through the second consumer.
+    const Addr shorts = 0x600000;
+    constexpr std::array<CoreId, 2> kCores10 = {1, 0};
     std::vector<AccessResult> got, want;
-    auto into = [](std::vector<AccessResult> &v) {
-        return [&v](const AccessResult &r) { v.push_back(r); };
-    };
+    std::uint64_t served[2] = {}, served_short[2] = {};
+    for (bool by_line : {false, true}) {
+        RunDriver d{by_line ? lines.cache : runs.cache, by_line,
+                    by_line ? want : got};
+        d.dmaWrite(0, io, kLines, Rig::kCore0, true);
+        d.core(1, 0, io, kLines, false);
+        d.core(2, 1, data, kLines, true);
+        served[by_line] = d.dmaRead(3, io, 2 * kLines, Rig::kCore0);
+        d.dmaWrite(4, data, kLines, Rig::kCore0, false);
+        d.core(5, 0, io, kLines, false);
 
-    runs.cache.dmaWriteRun(0, io, kLines, Rig::kIoWl, Rig::kCore0, true);
-    runs.cache.coreRun(1, 0, io, kLines, Rig::kWl, false, into(got));
-    runs.cache.coreRun(2, 1, data, kLines, Rig::kWl, true, into(got));
-    const std::uint64_t run_served =
-        runs.cache.dmaReadRun(3, io, 2 * kLines, Rig::kIoWl, Rig::kCore0);
-    runs.cache.dmaWriteRun(4, data, kLines, Rig::kIoWl, Rig::kCore0, false);
-    runs.cache.coreRun(5, 0, io, kLines, Rig::kWl, false, into(got));
-
-    for (std::uint64_t i = 0; i < kLines; ++i)
-        lines.cache.dmaWriteLine(0, io + i * kLineBytes, Rig::kIoWl,
-                                 Rig::kCore0, true);
-    for (std::uint64_t i = 0; i < kLines; ++i)
-        want.push_back(
-            lines.cache.coreRead(1, 0, io + i * kLineBytes, Rig::kWl));
-    for (std::uint64_t i = 0; i < kLines; ++i)
-        want.push_back(
-            lines.cache.coreWrite(2, 1, data + i * kLineBytes, Rig::kWl));
-    std::uint64_t served = 0;
-    for (std::uint64_t i = 0; i < 2 * kLines; ++i)
-        served += lines.cache.dmaReadLine(3, io + i * kLineBytes,
-                                          Rig::kIoWl, Rig::kCore0);
-    EXPECT_EQ(run_served, served);
-    EXPECT_GT(served, 0u);
-    for (std::uint64_t i = 0; i < kLines; ++i)
-        lines.cache.dmaWriteLine(4, data + i * kLineBytes, Rig::kIoWl,
-                                 Rig::kCore0, false);
-    for (std::uint64_t i = 0; i < kLines; ++i)
-        want.push_back(
-            lines.cache.coreRead(5, 0, io + i * kLineBytes, Rig::kWl));
+        Addr a = shorts + 0x10; // unaligned
+        for (std::uint64_t n : {0u, 1u, 3u}) {
+            d.core(5, 1, a, n, false);
+            served_short[by_line] += d.dmaRead(5, a, n, kCores10);
+            d.dmaWrite(5, a, n, kCores10, true);
+            d.core(5, 1, a, n, true);
+            d.dmaWrite(5, a, n, kCores10, false);
+            d.core(5, 0, a, n, false);
+            d.dmaWrite(5, a, n, kCores10, true);
+            a += (n + 1) * kLineBytes;
+        }
+    }
+    EXPECT_EQ(served[0], served[1]);
+    EXPECT_GT(served[1], 0u);
+    EXPECT_EQ(served_short[0], served_short[1]);
+    EXPECT_EQ(served_short[1], 4u);
 
     expectSameResults(got, want);
     const LineRange io_lines{io, 2 * kLines};
     const LineRange data_lines{data, kLines};
-    expectSameCaches(runs.cache, lines.cache, {io_lines, data_lines});
+    const LineRange short_lines{shorts, 8};
+    expectSameCaches(runs.cache, lines.cache,
+                     {io_lines, data_lines, short_lines});
 
     // Replacement state by behaviour: identical eviction-forcing
     // passes over conflicting ranges pick their MLC and LLC victims
@@ -588,21 +656,18 @@ TEST(CacheRuns, RunsMatchLineByLine)
             // the inclusive ways, which forces victims there; the
             // core runs force MLC victims (and their LLC inserts).
             const Addr io_step = force_io.base + k * kIoStep * kLineBytes;
-            rig->cache.dmaWriteRun(now, io_step, kIoStep, Rig::kIoWl,
-                                   Rig::kCore0, true);
-            rig->cache.coreRun(now, 2, io_step, kIoStep, Rig::kWl, false,
-                               into(*out));
-            rig->cache.coreRun(now, 0,
-                               force_core0.base + k * kCoreStep * kLineBytes,
-                               kCoreStep, Rig::kWl, true, into(*out));
-            rig->cache.coreRun(now, 1,
-                               force_core1.base + k * kCoreStep * kLineBytes,
-                               kCoreStep, Rig::kWl, false, into(*out));
+            RunDriver d{rig->cache, false, *out};
+            d.dmaWrite(now, io_step, kIoStep, Rig::kCore0, true);
+            d.core(now, 2, io_step, kIoStep, false);
+            d.core(now, 0, force_core0.base + k * kCoreStep * kLineBytes,
+                   kCoreStep, true);
+            d.core(now, 1, force_core1.base + k * kCoreStep * kLineBytes,
+                   kCoreStep, false);
         }
         expectSameResults(got_force, want_force);
         expectSameCaches(runs.cache, lines.cache,
-                         {io_lines, data_lines, force_core0, force_core1,
-                          force_io});
+                         {io_lines, data_lines, short_lines, force_core0,
+                          force_core1, force_io});
         ASSERT_FALSE(HasFailure()) << "after forcing round " << k;
     }
 }

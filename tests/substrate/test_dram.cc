@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "mem/dram.hh"
 #include "sim/log.hh"
+#include "sim/rng.hh"
 
 using namespace a4;
 
@@ -81,4 +84,113 @@ TEST(Dram, RejectsBadConfig)
     DramConfig cfg2;
     cfg2.window_ns = 0;
     EXPECT_THROW(Dram bad2(cfg2), FatalError);
+}
+
+namespace
+{
+
+/** The latency model as first written: the window capacity recomputed
+ *  on every utilisation read and the window rolled again inside it. */
+struct FormulaDram
+{
+    DramConfig cfg;
+    Tick window_start = 0;
+    std::uint64_t cur = 0;
+    std::uint64_t prev = 0;
+
+    void
+    roll(Tick now)
+    {
+        while (now >= window_start + cfg.window_ns) {
+            window_start += cfg.window_ns;
+            prev = cur;
+            cur = 0;
+            if (now >= window_start + 2 * cfg.window_ns) {
+                window_start = now - (now % cfg.window_ns);
+                prev = 0;
+            }
+        }
+    }
+
+    double
+    latency(Tick now)
+    {
+        roll(now);
+        double elapsed = static_cast<double>(now - window_start);
+        double span = static_cast<double>(cfg.window_ns);
+        double frac = std::clamp(elapsed / span, 0.0, 1.0);
+        double bytes = static_cast<double>(prev) * (1.0 - frac) +
+                       static_cast<double>(cur);
+        double window_capacity = cfg.peak_bw_bps * (span / 1e9);
+        double u = std::min(bytes / window_capacity, 0.97);
+        double factor = 1.0 / (1.0 - 0.75 * u);
+        return cfg.base_latency_ns * std::min(factor, 8.0);
+    }
+
+    double
+    readLine(Tick now)
+    {
+        roll(now);
+        cur += kLineBytes;
+        return latency(now);
+    }
+
+    void
+    writeBytes(Tick now, std::uint64_t bytes)
+    {
+        roll(now);
+        cur += bytes;
+    }
+};
+
+} // namespace
+
+TEST(Dram, LatencyMatchesTheFormulaBitForBit)
+{
+    // Reads, writes and bulk transfers at gaps inside a window, across
+    // one and several window rolls, across idle gaps that fast-forward
+    // the window, and exactly on window edges; every returned latency
+    // must equal the formula's to the bit.
+    DramConfig cfg;
+    cfg.peak_bw_bps = 3.3e9; // about 100 lines fill a window
+    cfg.window_ns = 2 * kUsec;
+    Dram d(cfg);
+    FormulaDram f{cfg};
+    Rng rng(7);
+    Tick now = 0;
+    unsigned loaded = 0;
+    for (int i = 0; i < 20000; ++i) {
+        switch (rng.below(256)) {
+          case 0:
+            now += cfg.window_ns; // exactly one window on
+            break;
+          case 1:
+            now += rng.below(5 * cfg.window_ns); // may skip windows
+            break;
+          default:
+            now += rng.below(40);
+            break;
+        }
+        switch (rng.below(4)) {
+          case 0:
+            d.writeLine(now);
+            f.writeBytes(now, kLineBytes);
+            break;
+          case 1: {
+            const std::uint64_t bytes = rng.below(8) * kLineBytes;
+            d.readBulk(now, bytes);
+            f.writeBytes(now, bytes);
+            break;
+          }
+          default: {
+            const double got = d.readLine(now);
+            const double want = f.readLine(now);
+            ASSERT_EQ(got, want) << "op " << i << " at tick " << now;
+            loaded += got > 3 * cfg.base_latency_ns;
+            break;
+          }
+        }
+        ASSERT_EQ(d.effectiveLatency(now), f.latency(now)) << "op " << i;
+    }
+    EXPECT_GT(loaded, 1000u); // near the 0.97 utilisation cap too
 }
