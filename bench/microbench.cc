@@ -15,6 +15,7 @@
 
 #include "cache/hierarchy.hh"
 #include "cache/scan.hh"
+#include "harness/testbed.hh"
 #include "mem/dram.hh"
 #include "rdt/cat.hh"
 #include "sim/engine.hh"
@@ -409,6 +410,25 @@ BM_DeferredDrain(benchmark::State &state)
     state.SetItemsProcessed(std::int64_t(applied));
 }
 BENCHMARK(BM_DeferredDrain)->ArgName("sources")->Arg(65);
+
+static void
+BM_CacheSystemConstruct(benchmark::State &state)
+{
+    // Building and tearing down the cache of one point at the
+    // ServerConfig::fast() geometry (scale 4) with N cores: 18 is the
+    // Table-1 server, 80 the fleet. The CAT controller and Dram are
+    // built once outside the loop.
+    ServerConfig cfg = ServerConfig::fast();
+    cfg.geometry.num_cores = static_cast<unsigned>(state.range(0));
+    const CacheGeometry g = cfg.scaledGeometry();
+    Dram dram;
+    CatController cat(g.llc_ways, g.num_cores);
+    for (auto _ : state) {
+        CacheSystem cache(g, cfg.latencies, dram, cat);
+        benchmark::DoNotOptimize(&cache);
+    }
+}
+BENCHMARK(BM_CacheSystemConstruct)->ArgName("cores")->Arg(18)->Arg(80);
 
 static void
 BM_LlcOccupancyCensus(benchmark::State &state)

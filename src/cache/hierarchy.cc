@@ -1,7 +1,8 @@
 #include "cache/hierarchy.hh"
 
+#include <sys/mman.h>
+
 #include <cassert>
-#include <cstring>
 #include <new>
 
 #include "cache/scan.hh"
@@ -13,14 +14,14 @@ namespace a4
 // --- set blocks -----------------------------------------------------------------
 
 void
-CacheSystem::SetBlocks::AlignedFree::operator()(std::byte *p) const
+CacheSystem::SetBlocks::Unmap::operator()(std::byte *p) const
 {
-    ::operator delete[](p, std::align_val_t{64});
+    ::munmap(p, bytes);
 }
 
 void
 CacheSystem::SetBlocks::init(std::size_t sets, unsigned ways,
-                             bool with_cores, bool lru)
+                             bool with_cores)
 {
     with_cores_ = with_cores;
     rank_off_ = scan::tagBytes(ways);
@@ -30,21 +31,17 @@ CacheSystem::SetBlocks::init(std::size_t sets, unsigned ways,
     block_ = (core_off_ + (with_cores ? 2 * std::size_t(ways) : 0) + 63) /
              64 * 64;
     const std::size_t bytes = sets * block_;
-    mem_.reset(static_cast<std::byte *>(
-        ::operator new[](bytes, std::align_val_t{64})));
-    std::memset(mem_.get(), 0, bytes);
-    if (!lru)
+    if (bytes == 0)
         return;
-    // One 16 B store per rank group; lanes past the last way are
-    // never read as ranks.
-    for (std::size_t b = 0; b < sets; ++b) {
-        for (unsigned g = 0; 16 * g < ways; ++g) {
-            _mm_storeu_si128(
-                reinterpret_cast<__m128i *>(ranks(b) + 16 * g),
-                _mm_add_epi8(_mm_set1_epi8(static_cast<char>(16 * g)),
-                             scan::byteIndex()));
-        }
-    }
+    // A fresh anonymous mapping reads as zeros (every tag invalid,
+    // every rank 0) and is page-aligned; its pages are faulted in when
+    // the simulation first touches a set, not here.
+    void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    mem_ = std::unique_ptr<std::byte, Unmap>(static_cast<std::byte *>(p),
+                                             Unmap{bytes});
 }
 
 CacheSystem::CacheSystem(const CacheGeometry &g, const CacheLatencies &l,
@@ -68,10 +65,9 @@ CacheSystem::CacheSystem(const CacheGeometry &g, const CacheLatencies &l,
     inclusive_mask = CatController::makeMask(geom.firstInclusiveWay(),
                                              geom.llc_ways - 1);
 
-    llc_.init(geom.llc_sets, geom.llc_ways, true,
-              geom.replacement == LlcReplacement::Lru);
+    llc_.init(geom.llc_sets, geom.llc_ways, true);
     mlc_.init(std::size_t(geom.num_cores) * geom.mlc_sets, geom.mlc_ways,
-              false, true);
+              false);
 
     wl_stats.resize(16);
 }
@@ -105,21 +101,33 @@ void
 CacheSystem::attachDeferredSource(DeferredIoSource &src)
 {
     deferred_.push_back(&src);
-    rebuildDeferred();
+    markDeferredStale();
 }
 
 void
 CacheSystem::detachDeferredSource(DeferredIoSource &src)
 {
     std::erase(deferred_, &src);
-    rebuildDeferred();
+    markDeferredStale();
+}
+
+void
+CacheSystem::markDeferredStale()
+{
+    assert(!draining_ && "sources may not attach or detach in an apply");
+    // A hint of 0 sends the next drain down the slow path to rebuild.
+    deferred_stale_ = true;
+    next_deferred_ = 0;
 }
 
 void
 CacheSystem::rebuildDeferred()
 {
+    deferred_stale_ = false;
     const std::size_t n = deferred_.size();
-    deferred_tree_.assign(2 * n, DeferredNode{kNoDeferredIo, 0});
+    // At least the root, so an empty merge reads as idle.
+    deferred_tree_.assign(std::max<std::size_t>(2 * n, 2),
+                          DeferredNode{kNoDeferredIo, 0});
     for (std::size_t i = 0; i < n; ++i) {
         deferred_[i]->deferred_index_ = static_cast<std::uint32_t>(i);
         deferred_tree_[n + i] = DeferredNode{
@@ -129,7 +137,7 @@ CacheSystem::rebuildDeferred()
         deferred_tree_[k] =
             earlier(deferred_tree_[2 * k], deferred_tree_[2 * k + 1]);
     }
-    next_deferred_ = n == 0 ? kNoDeferredIo : deferred_tree_[1].tick;
+    next_deferred_ = deferred_tree_[1].tick;
 }
 
 void
@@ -157,6 +165,8 @@ CacheSystem::drainDeferredSlow(Tick now)
     if (draining_)
         return;
     draining_ = true;
+    if (deferred_stale_)
+        rebuildDeferred();
     for (;;) {
         // Merge across sources: earliest timestamp wins, attach order
         // breaks ties, so the applied stream is identical no matter

@@ -41,15 +41,21 @@
  * far as they fit, the `ways` u8 replacement bytes (LRU ranks; SRRIP
  * RRPVs in the LLC under SRRIP); the next line holds the u8 flags,
  * the u16 owners and, in the LLC only, the u16 MLC cores. An 11-way
- * LLC block and a 16-way MLC block are 128 B each. The way kernels
+ * LLC block and a 16-way MLC block are 128 B each. Each level's blocks
+ * are one zero-filled anonymous mapping, so every set starts with all
+ * ways invalid and all ranks 0, and a set's host pages are faulted in
+ * only when the simulation first touches it. The way kernels
  * (cache/scan.hh) are SSE2: the tag match compares four tags a step
  * into a bitmask; an LRU touch lowers every rank above the touched
  * way's in one pcmpgtb/paddb pass and gives the way the top rank, so
- * the ranks stay a permutation whose order among valid ways is their
- * touch order; the LRU victim is the lowest invalid way in the mask,
- * else the rank-0 way (full mask) or a pminub argmin of the in-mask
- * ranks. Invalidation clears only the tag; the metadata of an invalid
- * way is stale and never read. The run entry points (coreRun,
+ * the k ways touched so far hold ranks ways-k..ways-1 in touch order
+ * and the others hold 0; the LRU victim is the lowest invalid way in
+ * the mask, else the rank-0 way (full mask) or a pminub argmin of the
+ * in-mask ranks. The zero start picks the victims a permutation start
+ * would: every fill touches its way, so a valid way has been touched,
+ * and the victim reads ranks only when every in-mask way is valid.
+ * Invalidation clears only the tag; the metadata of an invalid way is
+ * stale and never read. The run entry points (coreRun,
  * dmaWriteRun, dmaReadRun) walk consecutive lines and prefetch the
  * blocks upcoming lines will touch; a prefetch hint only hashes a
  * line into block addresses and reads no state. The hint's hashes are
@@ -262,13 +268,17 @@ class CacheSystem
     /** @name Deferred device-access sources (burst batching). @{ */
     /** Register @p src; its pending accesses gate every observation. */
     void attachDeferredSource(DeferredIoSource &src);
-    /** Unregister @p src (sources detach on destruction). */
+    /** Unregister @p src (sources detach on destruction). Neither
+     *  call may come from inside applyDeferredAccess(). */
     void detachDeferredSource(DeferredIoSource &src);
     /** Re-read @p src's deferredTick() into the merge (O(log N));
-     *  sources call this whenever their tick may have decreased. */
+     *  sources call this whenever their tick may have decreased. A
+     *  stale merge re-reads every tick at its rebuild anyway. */
     void
     noteDeferredTick(DeferredIoSource &src)
     {
+        if (deferred_stale_)
+            return;
         assert(src.deferred_index_ < deferred_.size() &&
                deferred_[src.deferred_index_] == &src);
         refreshDeferred(src.deferred_index_, src.deferredTick());
@@ -326,10 +336,9 @@ class CacheSystem
     class SetBlocks
     {
       public:
-        /** @p with_cores adds the MLC-core region; @p lru starts every
-         *  set's ranks as the permutation 0..ways-1 (else all 0). */
-        void init(std::size_t sets, unsigned ways, bool with_cores,
-                  bool lru);
+        /** Map @p sets zero-filled blocks: every way invalid, every
+         *  rank 0. @p with_cores adds the MLC-core region. */
+        void init(std::size_t sets, unsigned ways, bool with_cores);
 
         std::uint32_t *
         tags(std::size_t set)
@@ -396,8 +405,10 @@ class CacheSystem
         }
 
       private:
-        struct AlignedFree
+        /** munmap()s the @p bytes mapped by init(). */
+        struct Unmap
         {
+            std::size_t bytes;
             void operator()(std::byte *p) const;
         };
 
@@ -406,7 +417,7 @@ class CacheSystem
             return mem_.get() + set * block_;
         }
 
-        std::unique_ptr<std::byte, AlignedFree> mem_;
+        std::unique_ptr<std::byte, Unmap> mem_;
         std::size_t block_ = 0;
         std::size_t rank_off_ = 0;
         std::size_t flag_off_ = 0;
@@ -526,6 +537,8 @@ class CacheSystem
 
     // --- internal operations ----------------------------------------------
     void drainDeferredSlow(Tick now);
+    /** Attach or detach happened: rebuild the merge at the next drain. */
+    void markDeferredStale();
     /** Rebuild the merge tree from every source's deferredTick(). */
     void rebuildDeferred();
     /** Set source @p i's cached tick to @p tick and replay its path. */
@@ -593,10 +606,14 @@ class CacheSystem
     // Deferred-access sources in attach order, their min-tournament
     // tree (leaf i at deferred_tree_[n + i], node k the winner of
     // 2k and 2k + 1, the root at 1; ties to the lower attach index)
-    // and the root's tick as the one-compare fast-path hint.
+    // and the root's tick as the one-compare fast-path hint. Attach
+    // and detach only mark the tree stale (and the hint 0); the next
+    // drain rebuilds it, so building or tearing down N sources reads
+    // each tick once rather than N times.
     std::vector<DeferredIoSource *> deferred_;
     std::vector<DeferredNode> deferred_tree_;
     Tick next_deferred_ = kNoDeferredIo;
+    bool deferred_stale_ = false;
     bool draining_ = false; ///< re-entrancy guard (drains access us)
 };
 

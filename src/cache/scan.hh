@@ -14,10 +14,15 @@
  * masked off and keep their values. Every kernel takes 1 to 32 ways
  * (CacheSystem fatals outside that).
  *
- * Under LRU the ranks of a set are a permutation of 0..ways-1 over
- * all its ways, valid or not, 0 the least recently used. rankTouch()
- * keeps the permutation, so among valid ways the rank order is the
- * order of their last touch or fill.
+ * Under LRU a set's ranks start all 0 (CacheSystem maps its blocks
+ * zero-filled). rankTouch() gives the touched way the top rank,
+ * ways-1, and lowers only the ranks above its old one, so after k
+ * distinct ways have been touched they hold ranks ways-k..ways-1 in
+ * the order of their last touch or fill (the top the most recent),
+ * and every never-touched way holds 0. Every fill touches its way, so
+ * a valid way has always been touched: among valid ways the ranks are
+ * distinct and ordered by last touch, and once every way has been
+ * touched the ranks are a permutation of 0..ways-1.
  */
 
 #ifndef A4_CACHE_SCAN_HH
@@ -99,7 +104,8 @@ byteIndex()
 /**
  * LRU touch or fill of @p way: every rank above the way's own drops
  * by one (pcmpgtb, then paddb of the all-ones compare), and the way
- * takes the top rank, ways - 1. Keeps a permutation a permutation.
+ * takes the top rank, ways - 1. Keeps a permutation a permutation,
+ * and the zero-start invariant above.
  * Lanes past the last way are left as they are. The way's new rank is
  * blended into the same 16 B store, so a later vector load of the
  * ranks forwards from one store.
@@ -143,7 +149,8 @@ candLanes(std::uint32_t cand, unsigned g)
 /**
  * LRU victim among the ways in @p mask, or -1 if the mask selects
  * none: the lowest-indexed invalid way, else the way with the least
- * rank. @p rank holds the set's LRU ranks (a permutation).
+ * rank. @p rank holds the set's LRU ranks; they are read only when
+ * every in-mask way is valid, so only ranks of touched ways matter.
  *
  * With every way a candidate that is the rank-0 way (pcmpeqb against
  * zero). Otherwise out-of-mask lanes become 0xFF, a pminub tree

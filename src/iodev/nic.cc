@@ -42,7 +42,8 @@ NicConfig::burstFromEnv()
 Nic::Nic(Engine &eng_, DmaEngine &dma_, AddressMap &addrs, PortId port_,
          const NicConfig &config)
     : eng(eng_), dma(dma_), csys(dma_.cacheSystem()), port(port_),
-      cfg(config), rng(mixSeed(cfg.seed))
+      cfg(config), slot_bytes(linesIn(cfg.packet_bytes) * kLineBytes),
+      rng(mixSeed(cfg.seed))
 {
     if (cfg.num_queues == 0 || cfg.ring_entries == 0)
         fatal("Nic: queues and ring entries must be non-zero");
@@ -59,15 +60,10 @@ Nic::Nic(Engine &eng_, DmaEngine &dma_, AddressMap &addrs, PortId port_,
     queues.resize(cfg.num_queues);
     // Slot buffers are laid out per queue, mbuf-style: fixed-size
     // buffers recycled in ring order.
-    const std::uint64_t slot_bytes =
-        linesIn(cfg.packet_bytes) * kLineBytes;
     for (unsigned q = 0; q < cfg.num_queues; ++q) {
-        Addr base = addrs.alloc(std::uint64_t(cfg.ring_entries) *
-                                    slot_bytes,
-                                sformat("nic%u.rxring%u", port, q));
-        queues[q].slots.resize(cfg.ring_entries);
-        for (unsigned s = 0; s < cfg.ring_entries; ++s)
-            queues[q].slots[s] = base + std::uint64_t(s) * slot_bytes;
+        queues[q].ring_base =
+            addrs.alloc(std::uint64_t(cfg.ring_entries) * slot_bytes,
+                        sformat("nic%u.rxring%u", port, q));
     }
 
     // Carriers: only one is armed, per cfg.burst_interval (start()).
@@ -188,7 +184,7 @@ Nic::applyDeferredAccess()
         // No free descriptor: the NIC drops on the wire.
         dropped_pkts.inc();
     } else {
-        Addr buf = queue.slots[queue.next_slot];
+        const Addr buf = queue.ring_base + queue.next_slot * slot_bytes;
         queue.next_slot = (queue.next_slot + 1) % cfg.ring_entries;
         const CoreId consumer[1] = {queue.consumer};
         // The access carries its own arrival timestamp: LLC/DDIO

@@ -170,7 +170,7 @@ class Nic : public DeferredIoSource
   private:
     struct Queue
     {
-        std::vector<Addr> slots;
+        Addr ring_base = 0; ///< slot s is at ring_base + s * slot_bytes
         std::deque<RxPacket> pending;
         unsigned next_slot = 0;
         WorkloadId owner = kNoWorkload;
@@ -191,6 +191,7 @@ class Nic : public DeferredIoSource
     CacheSystem &csys; ///< drain registration (dma.cacheSystem())
     PortId port;
     NicConfig cfg;
+    std::uint64_t slot_bytes; ///< one packet, rounded up to lines
     Rng rng;
     std::vector<Queue> queues;
     bool running = false;

@@ -64,10 +64,11 @@ double
 Dram::rolledLatency(Tick now) const
 {
     // Classic closed-form queueing knee: latency grows hyperbolically
-    // as utilisation approaches 1, capped at 8x unloaded latency.
+    // with utilisation. Clamping u at 0.97 is the ceiling: the factor
+    // never exceeds 1 / (1 - 0.75 * 0.97), about 3.67x unloaded.
     double u = std::min(rolledUtilization(now), 0.97);
     double factor = 1.0 / (1.0 - 0.75 * u);
-    return cfg.base_latency_ns * std::min(factor, 8.0);
+    return cfg.base_latency_ns * factor;
 }
 
 double

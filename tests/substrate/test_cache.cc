@@ -7,6 +7,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <array>
 #include <initializer_list>
@@ -400,6 +401,32 @@ TEST(CacheBounds, CoreCountMustFitTheMlcCoreField)
     cache.coreRead(0, last, 0x10000, Rig::kWl);
     EXPECT_TRUE(cache.inMlc(last, 0x10000));
     EXPECT_EQ(cache.auditInvariants(), 0u);
+}
+
+TEST(CacheSetBlocks, ConstructionTouchesNoBlock)
+{
+    // 1,024 cores at the default MLC geometry: 1,024 x 1,024 MLC
+    // blocks of 128 B (128 MiB) plus 4.5 MiB of LLC blocks. They start
+    // zero-filled without being written, so building the cache, one
+    // access and its teardown must leave the peak RSS within 8 MiB.
+    auto peak_kib = [] {
+        rusage u{};
+        getrusage(RUSAGE_SELF, &u);
+        return u.ru_maxrss;
+    };
+    CacheGeometry g;
+    g.num_cores = CacheSystem::kMaxCores;
+    Dram dram;
+    CatController cat(g.llc_ways, g.num_cores);
+    const long before = peak_kib();
+    {
+        CacheSystem cache(g, CacheLatencies{}, dram, cat);
+        const CoreId last = CoreId(g.num_cores - 1);
+        cache.coreRead(0, last, 0x10000, Rig::kWl);
+        EXPECT_TRUE(cache.inMlc(last, 0x10000));
+    }
+    EXPECT_LT(peak_kib() - before, 8 * 1024)
+        << "peak RSS grew by " << peak_kib() - before << " KiB";
 }
 
 TEST(CacheBounds, AddressMapStopsAtTheLineField)

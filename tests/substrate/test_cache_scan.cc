@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cache/scan.hh"
@@ -214,15 +215,14 @@ TEST(CacheScan, RankTouchKeepsAPermutation)
 TEST(CacheScan, LruVictimIsTheKeyMinimum)
 {
     // Seeded fill / touch / invalidate sequences from a fresh set
-    // (ranks 0..ways-1, stamps 0, all ways invalid), as CacheSystem
-    // drives them; the victim is checked before every step.
+    // (ranks 0, stamps 0, all ways invalid), as CacheSystem drives
+    // them; the victim is checked before every step.
     Rng rng(182);
     for (unsigned ways = 1; ways <= 32; ++ways) {
         for (int t = 0; t < 40; ++t) {
             Block b(ways, rng);
             std::fill_n(b.tags.get(), ways, 0u);
-            for (unsigned w = 0; w < ways; ++w)
-                b.ranks[w] = std::uint8_t(w);
+            std::fill_n(b.ranks.get(), ways, std::uint8_t(0));
             std::vector<std::uint64_t> stamp(ways, 0);
             std::uint64_t clock = 0;
             std::uint32_t next_tag = 1;
@@ -256,6 +256,79 @@ TEST(CacheScan, LruVictimIsTheKeyMinimum)
                         mask = scan::lanesOf(ways);
                     const int v = scalarVictim(b, stamp, mask, false);
                     b.tags[v] = next_tag++;
+                    touch(unsigned(v));
+                  }
+                }
+            }
+        }
+    }
+}
+
+TEST(CacheScan, ZeroStartPicksThePermutationStartsVictims)
+{
+    // CacheSystem starts every rank at 0. A second rank array started
+    // as the permutation 0..ways-1 takes the same touches, fills and
+    // invalidations; both must pick the same LRU victim for every
+    // mask at every step. Fills go to the victim of a random mask, as
+    // mlcInsert and llcAlloc place them, so sets run full and the
+    // victims read ranks.
+    Rng rng(186);
+    for (unsigned ways = 1; ways <= 32; ++ways) {
+        // Whole set, single ways, halves, and DCA/inclusive-like ends.
+        std::vector<WayMask> structured = {scan::lanesOf(ways),
+                                           ~WayMask(0)};
+        for (unsigned w = 0; w < ways; ++w)
+            structured.push_back(WayMask(1) << w);
+        if (ways >= 2) {
+            structured.push_back(CatController::makeMask(0, ways / 2 - 1));
+            structured.push_back(CatController::makeMask(ways / 2, ways - 1));
+            structured.push_back(CatController::makeMask(0, 1));
+            structured.push_back(CatController::makeMask(ways - 2, ways - 1));
+        }
+        for (int t = 0; t < 20; ++t) {
+            Block zero(ways, rng);
+            Block perm(ways, rng); // only its ranks are used
+            std::fill_n(zero.tags.get(), ways, 0u);
+            std::fill_n(zero.ranks.get(), ways, std::uint8_t(0));
+            for (unsigned w = 0; w < ways; ++w)
+                perm.ranks[w] = std::uint8_t(w);
+            const std::uint32_t *tags = zero.tags.get();
+            auto victims = [&](WayMask mask) {
+                return std::pair{
+                    scan::lruVictim(tags, zero.ranks.get(), ways, mask),
+                    scan::lruVictim(tags, perm.ranks.get(), ways, mask)};
+            };
+            auto touch = [&](unsigned w) {
+                scan::rankTouch(zero.ranks.get(), ways, w);
+                scan::rankTouch(perm.ranks.get(), ways, w);
+            };
+            std::uint32_t next_tag = 1;
+
+            for (int step = 0; step < 150; ++step) {
+                std::vector<WayMask> masks = structured;
+                for (int m = 0; m < 3; ++m)
+                    masks.push_back(randomMask(ways, rng));
+                for (const WayMask mask : masks) {
+                    const auto [z, p] = victims(mask);
+                    ASSERT_EQ(z, p) << ways << " ways, trial " << t
+                                    << ", step " << step << ", mask 0x"
+                                    << std::hex << mask;
+                }
+                const auto w = unsigned(rng.below(ways));
+                switch (rng.below(4)) {
+                  case 0:
+                    zero.tags[w] = 0; // invalidate: the ranks stay
+                    break;
+                  case 1:
+                    if (zero.tags[w] != 0)
+                        touch(w);
+                    break;
+                  default: {
+                    WayMask mask = randomMask(ways, rng) & scan::lanesOf(ways);
+                    if (mask == 0)
+                        mask = scan::lanesOf(ways);
+                    const int v = victims(mask).first;
+                    zero.tags[v] = next_tag++;
                     touch(unsigned(v));
                   }
                 }

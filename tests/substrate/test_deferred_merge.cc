@@ -6,7 +6,8 @@
  * scan produces -- earliest timestamp first, ties to the lower attach
  * index -- across same-tick ties, a source that stops unannounced, a
  * restart announced through noteDeferredTick(), a detached middle
- * source and applies that re-enter the cache.
+ * source, applies that re-enter the cache, and sources attaching and
+ * detaching between drains (the merge rebuilds at the next drain).
  */
 
 #include <gtest/gtest.h>
@@ -188,6 +189,69 @@ runScenario(Side &side)
     return log;
 }
 
+/** Sources attaching and detaching between drains: a few at a time,
+ *  with restarts announced while the merge is stale, every source
+ *  detached at once, and a re-attach after the merge ran empty. */
+template <typename Side>
+Applied
+runChurn(Side &side)
+{
+    constexpr int kPool = 24;
+    Applied log;
+    std::vector<std::unique_ptr<ScriptedSource>> srcs;
+    std::vector<bool> attached(kPool, false);
+    for (int i = 0; i < kPool; ++i) {
+        srcs.push_back(
+            std::make_unique<ScriptedSource>(i, scriptFor(i), log));
+    }
+    auto attach = [&](int i) {
+        side.attach(*srcs[i]);
+        attached[i] = true;
+    };
+    auto detach = [&](int i) {
+        side.detach(*srcs[i]);
+        attached[i] = false;
+    };
+    for (int i = 0; i < kPool / 2; ++i)
+        attach(i);
+    side.reenter(*srcs[3]);
+
+    Rng rng(0xC4A2);
+    Tick now = 0;
+    for (int step = 0; step < 300; ++step) {
+        now += rng.below(25);
+        // Up to three changes, so one drain folds in several.
+        for (int c = int(rng.below(4)); c > 0; --c) {
+            const auto i = int(rng.below(kPool));
+            if (!attached[i]) {
+                attach(i); // may already be behind `now`: applied next
+            } else if (rng.chance(0.5)) {
+                detach(i);
+            } else {
+                // Restart, announced before the next drain's rebuild.
+                srcs[i]->restart({now, now + 7, now + 7, now + 40});
+                side.announce(*srcs[i]);
+            }
+        }
+        if (step == 150) {
+            for (int i = 0; i < kPool; ++i) {
+                if (attached[i])
+                    detach(i);
+            }
+            side.drain(now); // an empty merge
+            attach(5);
+        }
+        side.drain(now);
+    }
+    side.drain(kNoDeferredIo - 1);
+    for (int i = 0; i < kPool; ++i) {
+        if (attached[i])
+            detach(i);
+    }
+    side.drain(kNoDeferredIo - 1);
+    return log;
+}
+
 struct CacheSide
 {
     Dram dram;
@@ -235,6 +299,22 @@ TEST(DeferredMerge, MatchesNaiveScanAcrossStopRestartDetach)
               naive.cache.wlConst(1).dma_lines_written.value());
     EXPECT_EQ(fast.cache.llcWayOccupancyOf(1),
               naive.cache.llcWayOccupancyOf(1));
+}
+
+TEST(DeferredMerge, MatchesNaiveScanAcrossAttachDetachBetweenDrains)
+{
+    CacheSide fast;
+    NaiveSide naive;
+    const Applied a = runChurn(fast);
+    const Applied b = runChurn(naive);
+    ASSERT_GT(a.size(), 1000u);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(a[i].first, b[i].first) << "at apply " << i;
+        ASSERT_EQ(a[i].second, b[i].second) << "at apply " << i;
+    }
+    EXPECT_EQ(fast.cache.wlConst(1).dma_lines_written.value(),
+              naive.cache.wlConst(1).dma_lines_written.value());
 }
 
 TEST(DeferredMerge, TiesGoToTheLowerAttachIndex)
